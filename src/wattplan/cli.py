@@ -259,6 +259,14 @@ def _cmd_emissions(args: argparse.Namespace) -> int:
     embodied = _load_embodied(resolve_input_path(args.embodied)) if args.embodied else None
     energy_kwh = args.power_kw * args.hours
 
+    if embodied is not None:
+        breakdown = lifetime_emissions(args.power_kw, args.hours, profile, embodied, start=anchor)
+    else:
+        scope2 = lifetime_emissions(
+            args.power_kw, args.hours, profile, EmbodiedEmissions(0.0, 1.0), start=anchor
+        ).scope2_kg
+        breakdown = EmissionsBreakdown.of_parts(scope2, 0.0)
+
     if profile.is_constant:
         mean_intensity = profile.constant_g_per_kwh
     else:
@@ -267,14 +275,6 @@ def _cmd_emissions(args: argparse.Namespace) -> int:
         )
     scenario = classify_scenario(mean_intensity)
     objective = recommended_objective(scenario)
-
-    if embodied is not None:
-        breakdown = lifetime_emissions(args.power_kw, args.hours, profile, embodied, start=anchor)
-    else:
-        scope2 = lifetime_emissions(
-            args.power_kw, args.hours, profile, EmbodiedEmissions(0.0, 1.0), start=anchor
-        ).scope2_kg
-        breakdown = EmissionsBreakdown.of_parts(scope2, 0.0)
 
     if args.format == "json":
         _emit_json(

@@ -4,8 +4,9 @@ amortized scope-3 embodied emissions, plus output-efficiency metrics."""
 from __future__ import annotations
 
 import csv
-from bisect import bisect_right
-from dataclasses import dataclass
+import math
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
@@ -43,9 +44,9 @@ class EmbodiedEmissions:
     service_lifetime_hours: float
 
     def __post_init__(self) -> None:
-        if self.total_kgco2e < 0:
+        if not (math.isfinite(self.total_kgco2e) and self.total_kgco2e >= 0):
             raise DomainError(f"embodied emissions must be >= 0 kg, got {self.total_kgco2e}")
-        if self.service_lifetime_hours <= 0:
+        if not (math.isfinite(self.service_lifetime_hours) and self.service_lifetime_hours > 0):
             raise DomainError(
                 f"service lifetime must be > 0 hours, got {self.service_lifetime_hours}"
             )
@@ -74,12 +75,15 @@ class CarbonIntensityProfile:
 
     constant_g_per_kwh: float | None = None
     series: tuple[tuple[datetime, float], ...] | None = None
+    # The series' timestamps, kept so that lookups bisect without rebuilding
+    # them; empty for a constant profile.
+    _times: tuple[datetime, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.constant_g_per_kwh is None) == (self.series is None):
             raise DomainError("profile must be either constant or a series, not both")
         if self.constant_g_per_kwh is not None:
-            if self.constant_g_per_kwh < 0:
+            if not (math.isfinite(self.constant_g_per_kwh) and self.constant_g_per_kwh >= 0):
                 raise DomainError(
                     f"carbon intensity must be >= 0 g/kWh, got {self.constant_g_per_kwh}"
                 )
@@ -93,8 +97,9 @@ class CarbonIntensityProfile:
                     f"series timestamps must be strictly increasing: {t_prev} then {t_next}"
                 )
         for _, value in self.series:
-            if value < 0:
+            if not (math.isfinite(value) and value >= 0):
                 raise DomainError(f"carbon intensity must be >= 0 g/kWh, got {value}")
+        object.__setattr__(self, "_times", tuple(t for t, _ in self.series))
 
     @classmethod
     def constant(cls, g_per_kwh: float) -> "CarbonIntensityProfile":
@@ -150,20 +155,23 @@ class CarbonIntensityProfile:
         return None if self.series is None else self.series[0][0]
 
     def intensity_at(self, when: datetime) -> float:
-        """Step-hold intensity at an instant."""
+        """Step-hold intensity at an instant; O(log n) in the series length."""
         if self.constant_g_per_kwh is not None:
             return self.constant_g_per_kwh
         assert self.series is not None
-        times = [t for t, _ in self.series]
-        idx = bisect_right(times, when) - 1
+        idx = bisect_right(self._times, when) - 1
         if idx < 0:
             raise DomainError(
-                f"time {when} precedes series coverage starting at {times[0]}"
+                f"time {when} precedes series coverage starting at {self._times[0]}"
             )
         return self.series[idx][1]
 
     def mean_intensity(self, start: datetime, end: datetime) -> float:
-        """Time-weighted average intensity over the half-open interval [start, end)."""
+        """Time-weighted average intensity over the half-open interval [start, end).
+
+        Costs O(log n + k) for a series of n entries of which k hold inside
+        the interval: only the covered steps are summed, in time order.
+        """
         if end <= start:
             raise DomainError(f"interval end {end} must be after start {start}")
         if self.constant_g_per_kwh is not None:
@@ -174,8 +182,13 @@ class CarbonIntensityProfile:
                 f"interval [{start}, {end}) is outside series coverage "
                 f"starting at {self.series[0][0]}"
             )
+        # Steps before `first` end by `start`; steps from `stop` on begin at or
+        # after `end`. Either kind adds nothing to the sum.
+        first = bisect_right(self._times, start) - 1
+        stop = bisect_left(self._times, end)
         weighted = 0.0
-        for i, (t_i, value) in enumerate(self.series):
+        for i in range(first, stop):
+            t_i, value = self.series[i]
             t_next = self.series[i + 1][0] if i + 1 < len(self.series) else None
             lo = max(start, t_i)
             hi = end if t_next is None else min(end, t_next)
@@ -220,21 +233,22 @@ def scope2_emissions(
     Each item is ((start, end), energy_kwh); the interval's intensity is the
     time-weighted average of the profile over [start, end).
     """
+    if profile.is_constant:
+        constant = profile.constant_g_per_kwh
+        intensity_over = lambda start, end: constant
+    else:
+        intensity_over = profile.mean_intensity
     total_g = 0.0
     for (start, end), energy_kwh in energy_kwh_by_interval:
-        if energy_kwh < 0:
+        if not (math.isfinite(energy_kwh) and energy_kwh >= 0):
             raise DomainError(f"interval energy must be >= 0 kWh, got {energy_kwh}")
-        if profile.is_constant:
-            intensity = profile.constant_g_per_kwh
-        else:
-            intensity = profile.mean_intensity(start, end)
-        total_g += energy_kwh * intensity
+        total_g += energy_kwh * intensity_over(start, end)
     return total_g / 1000.0
 
 
 def amortized_scope3(embodied: EmbodiedEmissions, duration_hours: float) -> float:
     """Linear share of the embodied emissions attributable to a duration."""
-    if duration_hours < 0:
+    if not (math.isfinite(duration_hours) and duration_hours >= 0):
         raise DomainError(f"duration must be >= 0 hours, got {duration_hours}")
     if embodied.service_lifetime_hours <= 0:
         raise DomainError("service lifetime must be > 0 hours")
@@ -258,9 +272,9 @@ def lifetime_emissions(
     scope-2-only figure should say so explicitly rather than rely on a silent
     zero.
     """
-    if mean_power_kw < 0:
+    if not (math.isfinite(mean_power_kw) and mean_power_kw >= 0):
         raise DomainError(f"mean power must be >= 0 kW, got {mean_power_kw}")
-    if duration_hours < 0:
+    if not (math.isfinite(duration_hours) and duration_hours >= 0):
         raise DomainError(f"duration must be >= 0 hours, got {duration_hours}")
     if embodied is None:
         raise DomainError(

@@ -186,6 +186,39 @@ def test_emissions_with_embodied(capsys, tmp_path):
     assert not doc["scope3_unset"]
 
 
+@pytest.mark.parametrize(
+    "source,value",
+    [("--intensity", "nan"), ("--intensity", "inf"), ("--profile", "nan"), ("--profile", "inf")],
+)
+def test_emissions_rejects_non_finite_intensity(capsys, tmp_path, source, value):
+    if source == "--profile":
+        profile = tmp_path / "intensity.csv"
+        profile.write_text(
+            "timestamp,intensity_g_per_kwh\n"
+            "2022-01-01T00:00:00Z,20\n"
+            f"2022-01-01T12:00:00Z,{value}\n"
+        )
+        value = str(profile)
+    code, out, err = _run(
+        capsys, "emissions", source, value, "--power-kw", "1000", "--hours", "24",
+        "--format", "json",
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_emissions_rejects_infinite_hours_on_a_profile(capsys, tmp_path):
+    profile = tmp_path / "intensity.csv"
+    profile.write_text("timestamp,intensity_g_per_kwh\n2022-01-01T00:00:00Z,20\n")
+    code, out, err = _run(
+        capsys, "emissions", "--profile", str(profile), "--power-kw", "1000", "--hours", "inf"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: duration must be >= 0 hours, got inf\n"
+
+
 def test_simulate_baseline(capsys):
     doc = _run_json(capsys, "simulate", "builtin:baseline_scenario.json")
     assert 3000.0 <= doc["mean_power_kw"] <= 3400.0

@@ -1,4 +1,6 @@
 import random
+import time
+from bisect import bisect_right
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -20,6 +22,7 @@ from wattplan.emissions import (
 from wattplan.errors import DataFormatError, DomainError
 
 T0 = datetime(2022, 6, 1, tzinfo=timezone.utc)
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
 def _hours(n: float) -> timedelta:
@@ -96,9 +99,13 @@ def test_scope2_time_weighted_average_across_boundary():
 
 
 def test_scope2_rejects_negative_energy():
-    profile = CarbonIntensityProfile.constant(10.0)
-    with pytest.raises(DomainError):
-        scope2_emissions([((T0, T0 + _hours(1)), -5.0)], profile)
+    for energy in [-5.0, *NON_FINITE]:
+        for profile in (
+            CarbonIntensityProfile.constant(10.0),
+            CarbonIntensityProfile.from_series([(T0, 10.0)]),
+        ):
+            with pytest.raises(DomainError):
+                scope2_emissions([((T0, T0 + _hours(1)), energy)], profile)
 
 
 def test_scope2_coverage_error_names_interval():
@@ -147,6 +154,190 @@ def test_series_last_value_holds_indefinitely():
     assert profile.intensity_at(T0 + _hours(1000)) == 30.0
 
 
+def _full_scan_mean_intensity(profile, start, end):
+    """Interval mean by a scan over every step: the oracle for the bounded scan."""
+    if end <= start:
+        raise DomainError(f"interval end {end} must be after start {start}")
+    if profile.constant_g_per_kwh is not None:
+        return profile.constant_g_per_kwh
+    series = profile.series
+    if start < series[0][0]:
+        raise DomainError(
+            f"interval [{start}, {end}) is outside series coverage starting at {series[0][0]}"
+        )
+    weighted = 0.0
+    for i, (t_i, value) in enumerate(series):
+        t_next = series[i + 1][0] if i + 1 < len(series) else None
+        lo = max(start, t_i)
+        hi = end if t_next is None else min(end, t_next)
+        if hi > lo:
+            weighted += value * (hi - lo).total_seconds()
+    return weighted / (end - start).total_seconds()
+
+
+def _rebuilt_intensity_at(profile, when):
+    """Lookup that rebuilds the list of times on every call: the oracle for intensity_at."""
+    times = [t for t, _ in profile.series]
+    idx = bisect_right(times, when) - 1
+    if idx < 0:
+        raise DomainError(f"time {when} precedes series coverage starting at {times[0]}")
+    return profile.series[idx][1]
+
+
+def _irregular_profile(rng, n):
+    """n steps with microsecond offsets and widths from 1 us to a few hours."""
+    t = T0 + timedelta(microseconds=rng.randrange(1_000_000))
+    points = []
+    for _ in range(n):
+        points.append((t, rng.choice([0.0, round(rng.uniform(0, 400), 3), rng.uniform(0, 400)])))
+        t += rng.choice(
+            [
+                timedelta(microseconds=1),
+                timedelta(microseconds=rng.randrange(1, 1_000_000)),
+                timedelta(seconds=rng.randrange(1, 14_400), microseconds=rng.randrange(1_000_000)),
+                timedelta(minutes=30),
+            ]
+        )
+    return CarbonIntensityProfile.from_series(points)
+
+
+def _random_instant(rng, times):
+    """An instant at a step, a microsecond off one, inside a step or past the last."""
+    t = rng.choice(times)
+    return rng.choice(
+        [
+            t,
+            t + timedelta(microseconds=1),
+            t - timedelta(microseconds=1),
+            t + timedelta(seconds=rng.uniform(0, 7200)),
+            times[-1] + timedelta(seconds=rng.uniform(0, 86_400)),
+        ]
+    )
+
+
+def _interval_random(rng, times):
+    a, b = _random_instant(rng, times), _random_instant(rng, times)
+    return min(a, b), max(a, b)
+
+
+def _interval_on_steps(rng, times):
+    i = rng.randrange(len(times))
+    j = rng.randrange(i + 1, len(times) + 1)
+    end = times[j] if j < len(times) else times[-1] + timedelta(hours=rng.randrange(1, 48))
+    # Start on a step, end on a step, or both.
+    return rng.choice(
+        [
+            (times[i], end),
+            (times[i], end + timedelta(microseconds=rng.randrange(1, 1_000_000))),
+            (times[i] + timedelta(microseconds=rng.randrange(0, 2)), end),
+        ]
+    )
+
+
+def _interval_inside_one_step(rng, times):
+    i = rng.randrange(len(times) - 1)
+    width_us = (times[i + 1] - times[i]) // timedelta(microseconds=1)
+    a, b = sorted(rng.sample(range(width_us + 1), 2)) if width_us > 1 else (0, 1)
+    return times[i] + timedelta(microseconds=a), times[i] + timedelta(microseconds=b)
+
+
+def _interval_past_last(rng, times):
+    start = times[-1] + timedelta(microseconds=rng.randrange(0, 10**11))
+    return start, start + timedelta(microseconds=rng.randrange(1, 10**11))
+
+
+@pytest.mark.parametrize(
+    "make_interval,n_min",
+    [
+        (_interval_random, 1),
+        (_interval_on_steps, 1),
+        (_interval_inside_one_step, 2),
+        (_interval_past_last, 1),
+    ],
+    ids=["random", "on_steps", "inside_one_step", "past_last"],
+)
+def test_mean_intensity_equals_full_scan(make_interval, n_min):
+    rng = random.Random(f"mean-{make_interval.__name__}")
+    checked = 0
+    for _ in range(60):
+        profile = _irregular_profile(rng, rng.choice([n_min, 2, rng.randrange(n_min, 80)]))
+        times = [t for t, _ in profile.series]
+        for _ in range(25):
+            start, end = make_interval(rng, times)
+            if end <= start or start < times[0]:
+                continue
+            assert profile.mean_intensity(start, end) == _full_scan_mean_intensity(
+                profile, start, end
+            )
+            checked += 1
+    assert checked > 1000
+
+
+def test_single_entry_series_mean_equals_full_scan():
+    rng = random.Random("single-entry")
+    for _ in range(200):
+        profile = _irregular_profile(rng, 1)
+        (t0, value), = profile.series
+        start = t0 + timedelta(microseconds=rng.choice([0, 1, rng.randrange(10**11)]))
+        end = start + timedelta(microseconds=rng.choice([1, rng.randrange(1, 10**11)]))
+        mean = profile.mean_intensity(start, end)
+        assert mean == _full_scan_mean_intensity(profile, start, end)
+        assert mean == pytest.approx(value, rel=1e-12)
+
+
+def test_intensity_at_equals_rebuilt_lookup():
+    rng = random.Random("intensity-at")
+    for _ in range(100):
+        profile = _irregular_profile(rng, rng.randrange(1, 80))
+        times = [t for t, _ in profile.series]
+        for _ in range(25):
+            when = _random_instant(rng, times)
+            if when < times[0]:
+                with pytest.raises(DomainError) as got:
+                    profile.intensity_at(when)
+                with pytest.raises(DomainError) as want:
+                    _rebuilt_intensity_at(profile, when)
+                assert str(got.value) == str(want.value)
+            else:
+                assert profile.intensity_at(when) == _rebuilt_intensity_at(profile, when)
+
+
+def test_mean_intensity_errors_match_full_scan():
+    profile = CarbonIntensityProfile.from_series([(T0, 10.0), (T0 + _hours(1), 30.0)])
+    for start, end in [
+        (T0 - timedelta(microseconds=1), T0 + _hours(1)),
+        (T0 + _hours(1), T0 + _hours(1)),
+        (T0 + _hours(2), T0 + _hours(1)),
+    ]:
+        with pytest.raises(DomainError) as got:
+            profile.mean_intensity(start, end)
+        with pytest.raises(DomainError) as want:
+            _full_scan_mean_intensity(profile, start, end)
+        assert str(got.value) == str(want.value)
+
+
+def test_scope2_year_of_hourly_intervals_within_budget():
+    # A year of hourly intervals against a year of half-hourly intensity. On a
+    # 2-vCPU Xeon a scan over the whole series per interval takes about 110 s
+    # and the bounded scan about 30 ms, so the budget catches a return to the
+    # full scan and not a slow host.
+    rng = random.Random(8760)
+    values = [rng.uniform(0, 300) for _ in range(17_520)]
+    profile = CarbonIntensityProfile.from_series(
+        [(T0 + timedelta(minutes=30 * i), v) for i, v in enumerate(values)]
+    )
+    energies = [rng.uniform(0, 4000) for _ in range(8_760)]
+    intervals = [((T0 + _hours(h), T0 + _hours(h + 1)), e) for h, e in enumerate(energies)]
+    started = time.perf_counter()
+    total = scope2_emissions(intervals, profile)
+    elapsed = time.perf_counter() - started
+    expected = sum(
+        e * (values[2 * h] + values[2 * h + 1]) / 2 for h, e in enumerate(energies)
+    ) / 1000.0
+    assert total == pytest.approx(expected, rel=1e-12)
+    assert elapsed < 5.0, f"8,760 intervals took {elapsed:.2f} s"
+
+
 def test_profile_validation():
     with pytest.raises(DomainError):
         CarbonIntensityProfile.constant(-5.0)
@@ -156,6 +347,11 @@ def test_profile_validation():
         CarbonIntensityProfile.from_series([(T0, -1.0)])
     with pytest.raises(DomainError):
         CarbonIntensityProfile.from_series([])
+    for bad in NON_FINITE:
+        with pytest.raises(DomainError):
+            CarbonIntensityProfile.constant(bad)
+        with pytest.raises(DomainError):
+            CarbonIntensityProfile.from_series([(T0, 10.0), (T0 + _hours(1), bad)])
 
 
 def test_profile_csv_roundtrip(tmp_path):
@@ -214,11 +410,17 @@ def test_embodied_emissions_validation():
         EmbodiedEmissions(-1.0, 100.0)
     with pytest.raises(DomainError):
         EmbodiedEmissions(100.0, 0.0)
+    for bad in NON_FINITE:
+        with pytest.raises(DomainError):
+            EmbodiedEmissions(bad, 100.0)
+        with pytest.raises(DomainError):
+            EmbodiedEmissions(100.0, bad)
 
 
 def test_amortized_rejects_negative_duration():
-    with pytest.raises(DomainError):
-        amortized_scope3(EmbodiedEmissions(100.0, 100.0), -1.0)
+    for duration in [-1.0, *NON_FINITE]:
+        with pytest.raises(DomainError):
+            amortized_scope3(EmbodiedEmissions(100.0, 100.0), duration)
 
 
 def test_lifetime_emissions_zero_power():
@@ -234,6 +436,16 @@ def test_lifetime_emissions_hour_at_measured_power():
     )
     assert breakdown.scope2_kg == pytest.approx(322.0)
     assert breakdown.scope3_kg == 0.0
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_lifetime_emissions_rejects_non_finite(bad):
+    profile = CarbonIntensityProfile.constant(50.0)
+    embodied = EmbodiedEmissions(1000.0, 100.0)
+    with pytest.raises(DomainError, match="mean power"):
+        lifetime_emissions(bad, 1.0, profile, embodied)
+    with pytest.raises(DomainError, match="duration"):
+        lifetime_emissions(100.0, bad, profile, embodied)
 
 
 def test_lifetime_emissions_requires_embodied():
