@@ -191,8 +191,11 @@ def _window_doc(stats) -> dict:
 
 
 def _cmd_telemetry(args: argparse.Namespace) -> int:
+    try:
+        gap = timedelta(hours=args.gap)
+    except (ValueError, OverflowError):
+        raise DomainError(f"guard gap is out of range: {args.gap} hours") from None
     series = parse_series(resolve_input_path(args.series_file))
-    gap = timedelta(hours=args.gap)
     score = None
     if args.detect:
         found = detect_changepoint(series)

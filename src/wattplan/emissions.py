@@ -12,7 +12,7 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import DataFormatError, DomainError
-from .timestamps import parse_timestamp
+from .timestamps import format_timestamp, parse_timestamp
 
 # Carbon-intensity bands (gCO2/kWh) separating the three emissions regimes.
 # Both band edges belong to the balanced regime.
@@ -281,12 +281,18 @@ def lifetime_emissions(
             "embodied emissions are not set; provide an EmbodiedEmissions value "
             "to compute scope-3 totals"
         )
+    anchor = start if start is not None else (profile.start_time() or _EPOCH)
+    try:
+        interval = (anchor, anchor + timedelta(hours=duration_hours))
+    except OverflowError:
+        raise DomainError(
+            f"duration must end by the year 9999, got {duration_hours} hours "
+            f"from {format_timestamp(anchor)}"
+        ) from None
     energy_kwh = mean_power_kw * duration_hours
     if energy_kwh == 0 or duration_hours == 0:
         scope2 = 0.0
     else:
-        anchor = start if start is not None else (profile.start_time() or _EPOCH)
-        interval = (anchor, anchor + timedelta(hours=duration_hours))
         scope2 = scope2_emissions([(interval, energy_kwh)], profile)
     scope3 = amortized_scope3(embodied, duration_hours)
     return EmissionsBreakdown.of_parts(scope2, scope3)

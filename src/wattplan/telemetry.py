@@ -7,56 +7,121 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataFormatError, DomainError
 from .timestamps import format_timestamp, parse_timestamp
 
 DEFAULT_SERIES_START = datetime(2022, 1, 1, tzinfo=timezone.utc)
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_ONE_US = timedelta(microseconds=1)
+_MIN_US = (datetime.min.replace(tzinfo=timezone.utc) - _EPOCH) // _ONE_US
+_MAX_US = (datetime.max.replace(tzinfo=timezone.utc) - _EPOCH) // _ONE_US
+# the longest span a datetime can hold, and so the longest synthetic segment
+_MAX_SEGMENT_HOURS = (datetime.max - datetime.min) / timedelta(hours=1)
+_CHUNK = 1 << 12  # rows per vectorized batch, which bounds the temporaries
 
-@dataclass(frozen=True)
+
+def _micros(ts: datetime) -> int:
+    """Microseconds since the Unix epoch; naive timestamps are taken as UTC."""
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    return (ts - _EPOCH) // _ONE_US
+
+
+def _instant(us) -> datetime:
+    """The UTC datetime of an epoch-microsecond count."""
+    return _EPOCH + timedelta(microseconds=int(us))
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class PowerSeries:
-    """Strictly time-ordered power samples in kW."""
+    """Strictly time-ordered power samples in kW.
 
-    timestamps: tuple[datetime, ...]
-    values_kw: tuple[float, ...]
+    The samples live in two read-only arrays: `times_us`, int64 microseconds
+    since the Unix epoch (UTC), and `power_kw`, float64. The tuples
+    `timestamps` (UTC datetimes) and `values_kw` are built on first use.
+    Naive datetimes are taken as UTC.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "timestamps", tuple(self.timestamps))
-        object.__setattr__(self, "values_kw", tuple(float(v) for v in self.values_kw))
-        if len(self.timestamps) != len(self.values_kw):
+    times_us: np.ndarray
+    power_kw: np.ndarray
+
+    def __init__(self, timestamps, values_kw) -> None:
+        values = np.fromiter((float(v) for v in values_kw), dtype=np.float64)
+        times = np.fromiter((_micros(t) for t in timestamps), dtype=np.int64)
+        self._adopt(times, values)
+
+    @classmethod
+    def from_arrays(cls, times_us, power_kw) -> "PowerSeries":
+        """A series from epoch microseconds and kW values; both are copied."""
+        series = cls.__new__(cls)
+        series._adopt(np.array(times_us, dtype=np.int64), np.array(power_kw, dtype=np.float64))
+        return series
+
+    def _adopt(self, times: np.ndarray, values: np.ndarray) -> None:
+        if len(times) != len(values):
+            raise DomainError(f"{len(times)} timestamps but {len(values)} power values")
+        backwards = np.flatnonzero(np.diff(times) <= 0)
+        if backwards.size:
+            i = int(backwards[0])
             raise DomainError(
-                f"{len(self.timestamps)} timestamps but {len(self.values_kw)} power values"
+                f"timestamps must be strictly increasing: "
+                f"{format_timestamp(_instant(times[i]))} then "
+                f"{format_timestamp(_instant(times[i + 1]))}"
             )
-        for t_prev, t_next in zip(self.timestamps, self.timestamps[1:]):
-            if t_next <= t_prev:
-                raise DomainError(
-                    f"timestamps must be strictly increasing: "
-                    f"{format_timestamp(t_prev)} then {format_timestamp(t_next)}"
-                )
-        for value in self.values_kw:
-            if not math.isfinite(value) or value < 0:
-                raise DomainError(f"power values must be finite and >= 0 kW, got {value}")
+        if times.size and not (_MIN_US <= times[0] and times[-1] <= _MAX_US):
+            raise DomainError("timestamps must lie within the years 1 to 9999")
+        bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
+        if bad.size:
+            raise DomainError(
+                f"power values must be finite and >= 0 kW, got {float(values[bad[0]])}"
+            )
+        times.flags.writeable = False
+        values.flags.writeable = False
+        object.__setattr__(self, "times_us", times)
+        object.__setattr__(self, "power_kw", values)
+
+    @cached_property
+    def timestamps(self) -> tuple[datetime, ...]:
+        stamps: list[datetime] = []
+        for lo in range(0, len(self), _CHUNK):
+            naive = self.times_us[lo : lo + _CHUNK].astype("datetime64[us]").tolist()
+            # combine sets the zone several times faster than replace(tzinfo=...)
+            stamps.extend(map(datetime.combine, map(datetime.date, naive),
+                              map(datetime.time, naive), repeat(timezone.utc)))
+        return tuple(stamps)
+
+    @cached_property
+    def values_kw(self) -> tuple[float, ...]:
+        return tuple(self.power_kw.tolist())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.times_us, other.times_us) and np.array_equal(
+            self.power_kw, other.power_kw
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.timestamps, self.values_kw))
+
+    def __repr__(self) -> str:
+        return f"PowerSeries(timestamps={self.timestamps!r}, values_kw={self.values_kw!r})"
 
     def __len__(self) -> int:
-        return len(self.timestamps)
+        return len(self.times_us)
 
     def samples(self):
         return zip(self.timestamps, self.values_kw)
-
-    @classmethod
-    def from_samples(cls, pairs) -> "PowerSeries":
-        pairs = list(pairs)
-        return cls(
-            timestamps=tuple(t for t, _ in pairs),
-            values_kw=tuple(v for _, v in pairs),
-        )
 
 
 @dataclass(frozen=True)
@@ -98,22 +163,128 @@ class SeriesSegment:
     noise_sd_kw: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.duration_hours <= 0:
-            raise DomainError(f"segment duration must be > 0 hours, got {self.duration_hours}")
+        if not (math.isfinite(self.duration_hours) and self.duration_hours > 0):
+            raise DomainError(
+                f"segment duration must be finite and > 0 hours, got {self.duration_hours}"
+            )
+        if self.duration_hours > _MAX_SEGMENT_HOURS:
+            raise DomainError(
+                f"segment duration must be at most {_MAX_SEGMENT_HOURS:.0f} hours, "
+                f"got {self.duration_hours}"
+            )
         if not isinstance(self.n_samples, int) or self.n_samples < 1:
             raise DomainError(f"segment n_samples must be >= 1, got {self.n_samples!r}")
-        if self.mean_kw < 0:
-            raise DomainError(f"segment mean must be >= 0 kW, got {self.mean_kw}")
-        if self.noise_sd_kw < 0:
-            raise DomainError(f"segment noise sd must be >= 0 kW, got {self.noise_sd_kw}")
+        if not (math.isfinite(self.mean_kw) and self.mean_kw >= 0):
+            raise DomainError(f"segment mean must be finite and >= 0 kW, got {self.mean_kw}")
+        if not (math.isfinite(self.noise_sd_kw) and self.noise_sd_kw >= 0):
+            raise DomainError(
+                f"segment noise sd must be finite and >= 0 kW, got {self.noise_sd_kw}"
+            )
 
 
 def parse_series(path: str | Path) -> PowerSeries:
     """Load a power series from CSV with header timestamp,power_kw.
 
     Rows out of time order, negative or non-finite power, and malformed rows
-    are rejected with their line number.
+    are rejected with their line number. The canonical form that write_series
+    emits for whole-second times is read vectorized; any other file, and
+    every file with an error in it, is read row by row.
     """
+    series = _parse_canonical(path)
+    return series if series is not None else _parse_rows(path)
+
+
+_HEADER = b"timestamp,power_kw\n"
+# a canonical row is "YYYY-MM-DDTHH:MM:SSZ,<number>": 21 fixed bytes, then the number
+_STAMP_BYTES = 21
+_STAMP_SEPARATORS = np.frombuffer(b"--T::Z,", dtype=np.uint8)[:, None]
+_STAMP_SEPARATOR_AT = [4, 7, 10, 13, 16, 19, 20]
+_STAMP_DIGIT_AT = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_NUMBER_BYTE = np.zeros(256, dtype=bool)
+_NUMBER_BYTE[np.frombuffer(b"0123456789.+-eE", dtype=np.uint8)] = True
+
+
+def _parse_canonical(path: str | Path) -> PowerSeries | None:
+    """The series of a canonical file, or None for any other file.
+
+    Canonical: the exact header, LF line ends, and every row a whole-second
+    `YYYY-MM-DDTHH:MM:SSZ` time, a comma and a number written with digits,
+    sign, point and exponent only, with the times strictly increasing and
+    the powers finite and >= 0.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if not (data.startswith(_HEADER) and data.endswith(b"\n")):
+        return None
+    body = np.frombuffer(data, dtype=np.uint8, offset=len(_HEADER))
+    ends = np.flatnonzero(body == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    times = np.empty(len(ends), dtype=np.int64)
+    power = np.empty(len(ends))
+    for lo in range(0, len(ends), _CHUNK):
+        rows = slice(lo, lo + _CHUNK)
+        parsed = _parse_canonical_rows(body, starts[rows], ends[rows])
+        if parsed is None:
+            return None
+        times[rows], power[rows] = parsed
+    try:
+        return PowerSeries.from_arrays(times, power)
+    except DomainError:
+        return None
+
+
+def _parse_canonical_rows(
+    body: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Epoch microseconds and kW of canonical rows, or None if any row is not."""
+    number_at = starts + _STAMP_BYTES
+    number_bytes = ends - number_at
+    if number_bytes.min() < 1:
+        return None
+
+    stamp = sliding_window_view(body, _STAMP_BYTES)[starts].T.copy()
+    if not (stamp[_STAMP_SEPARATOR_AT] == _STAMP_SEPARATORS).all():
+        return None
+    digits = stamp[_STAMP_DIGIT_AT] - np.uint8(ord("0"))
+    if (digits > 9).any():
+        return None
+    # century, year of century, month, day, hour, minute, second
+    pairs = digits[0::2] * np.uint8(10) + digits[1::2]
+    year = pairs[0] * np.int64(100) + pairs[1]
+    month, day, hour, minute, second = pairs[2:]
+    lowest, highest = pairs[2:].min(axis=1), pairs[2:].max(axis=1)
+    if (year.min() < 1 or lowest[0] < 1 or highest[0] > 12 or lowest[1] < 1
+            or highest[2] > 23 or highest[3] > 59 or highest[4] > 59):
+        return None
+    # first day and length of each month from the earliest to the latest row
+    month_index = (year - 1970) * 12 + month - 1
+    first_month = int(month_index.min())
+    month_days = (
+        np.arange(first_month, int(month_index.max()) + 2)
+        .astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+    )
+    month_index -= first_month
+    if (day > np.diff(month_days)[month_index]).any():
+        return None
+    days = month_days[month_index] + (day - 1)
+    seconds = ((days * 24 + hour) * 60 + minute) * 60 + second
+
+    # the numbers, a batch per width so that each is exactly its own bytes
+    power = np.empty(len(starts))
+    for width in np.flatnonzero(np.bincount(number_bytes)).tolist():
+        rows = np.flatnonzero(number_bytes == width)
+        text = sliding_window_view(body, width)[number_at[rows]]
+        if not _NUMBER_BYTE[text].all():
+            return None
+        try:
+            power[rows] = text.view(f"S{width}")[:, 0].astype(np.float64)
+        except ValueError:
+            return None
+    return seconds * 1_000_000, power
+
+
+def _parse_rows(path: str | Path) -> PowerSeries:
+    """Row-by-row parse of any file parse_series accepts; the source of every error."""
     timestamps: list[datetime] = []
     values: list[float] = []
     with open(path, newline="", encoding="utf-8") as handle:
@@ -151,10 +322,21 @@ def parse_series(path: str | Path) -> PowerSeries:
 
 
 def write_series(series: PowerSeries, path: str | Path) -> None:
-    """Write a power series in the same CSV format parse_series reads."""
-    lines = ["timestamp,power_kw"]
-    lines.extend(f"{format_timestamp(t)},{v!r}" for t, v in series.samples())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write a power series in the same CSV format parse_series reads.
+
+    Times are ISO-8601 UTC with a trailing Z, with microseconds only where
+    they are non-zero; powers are Python float reprs.
+    """
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("timestamp,power_kw\n")
+        for lo in range(0, len(series), _CHUNK):
+            times = series.times_us[lo : lo + _CHUNK].astype("datetime64[us]")
+            stamps = np.datetime_as_string(times, unit="s").tolist()
+            fine = np.flatnonzero(times.astype(np.int64) % 1_000_000)
+            for i, text in zip(fine.tolist(), np.datetime_as_string(times[fine]).tolist()):
+                stamps[i] = text
+            power = series.power_kw[lo : lo + _CHUNK].tolist()
+            handle.write("".join([f"{t}Z,{v!r}\n" for t, v in zip(stamps, power)]))
 
 
 def window_mean(series: PowerSeries, start: datetime, end: datetime) -> WindowStats:
@@ -163,13 +345,12 @@ def window_mean(series: PowerSeries, start: datetime, end: datetime) -> WindowSt
         raise DomainError(
             f"window end {format_timestamp(end)} must be after start {format_timestamp(start)}"
         )
-    lo = bisect_left(series.timestamps, start)
-    hi = bisect_left(series.timestamps, end)
+    lo, hi = np.searchsorted(series.times_us, [_micros(start), _micros(end)])
     if hi <= lo:
         raise DomainError(
             f"no samples in window [{format_timestamp(start)}, {format_timestamp(end)})"
         )
-    window = np.asarray(series.values_kw[lo:hi], dtype=float)
+    window = series.power_kw[lo:hi]
     return WindowStats(
         start=start,
         end=end,
@@ -188,23 +369,32 @@ def intervention_impact(
     (exclusive); the after window from change_time + guard_gap to the end of
     the series. A positive guard gap excludes a smeared transition period.
     """
+    gap_hours = guard_gap / timedelta(hours=1)
     if guard_gap < timedelta(0):
-        raise DomainError(f"guard gap must be >= 0, got {guard_gap}")
+        raise DomainError(f"guard gap must be >= 0 hours, got {gap_hours}")
     if len(series) == 0:
         raise DomainError("series has no samples")
-    before_end = change_time - guard_gap
-    after_start = change_time + guard_gap
-    if series.timestamps[0] >= before_end:
+    try:
+        before_end = change_time - guard_gap
+        after_start = change_time + guard_gap
+    except OverflowError:
+        raise DomainError(
+            f"guard gap of {gap_hours} hours around {format_timestamp(change_time)} "
+            f"leaves the years 1 to 9999"
+        ) from None
+    first = _instant(series.times_us[0])
+    last = _instant(series.times_us[-1])
+    if first >= before_end:
         raise DomainError(
             f"no samples before {format_timestamp(before_end)} (change time minus gap)"
         )
-    if series.timestamps[-1] < after_start:
+    if last < after_start:
         raise DomainError(
             f"no samples at or after {format_timestamp(after_start)} (change time plus gap)"
         )
-    before = window_mean(series, series.timestamps[0], before_end)
+    before = window_mean(series, first, before_end)
     # pad the window bound by 1 us so the final sample falls inside [start, end)
-    after = window_mean(series, after_start, series.timestamps[-1] + timedelta(microseconds=1))
+    after = window_mean(series, after_start, last + _ONE_US)
     if before.mean_kw == 0:
         raise DomainError("before-window mean is zero; percentage change is undefined")
     delta = after.mean_kw - before.mean_kw
@@ -229,13 +419,13 @@ def detect_changepoint(series: PowerSeries) -> Changepoint:
     n = len(series)
     if n < 4:
         raise DomainError(f"changepoint detection needs at least 4 samples, got {n}")
-    y = np.asarray(series.values_kw, dtype=float)
+    y = series.power_kw
     csum = np.concatenate(([0.0], np.cumsum(y)))
     csq = np.concatenate(([0.0], np.cumsum(y * y)))
     total_sse = float(csq[n] - csum[n] ** 2 / n)
     if total_sse <= 1e-12 * max(1.0, float(csq[n])):
         # flat series: every split is equivalent, return the earliest
-        return Changepoint(change_time=series.timestamps[2], index=2, score=0.0)
+        return Changepoint(change_time=_instant(series.times_us[2]), index=2, score=0.0)
     ks = np.arange(2, n - 1)
     left = csq[ks] - csum[ks] ** 2 / ks
     right = (csq[n] - csq[ks]) - (csum[n] - csum[ks]) ** 2 / (n - ks)
@@ -244,7 +434,7 @@ def detect_changepoint(series: PowerSeries) -> Changepoint:
     k = int(ks[best])
     score = 1.0 - float(sse[best]) / total_sse
     score = min(max(score, 0.0), 1.0)
-    return Changepoint(change_time=series.timestamps[k], index=k, score=score)
+    return Changepoint(change_time=_instant(series.times_us[k]), index=k, score=score)
 
 
 def synth_series(
@@ -259,14 +449,17 @@ def synth_series(
     if not segs:
         raise DomainError("at least one segment is required")
     rng = np.random.default_rng(seed)
-    timestamps: list[datetime] = []
-    values: list[float] = []
-    segment_start = start
+    times: list[np.ndarray] = []
+    values: list[np.ndarray] = []
+    segment_start = _micros(start)
     for seg in segs:
-        step = timedelta(hours=seg.duration_hours / seg.n_samples)
+        # past the datetime range, the int64 arithmetic below could overflow
+        if segment_start > _MAX_US:
+            raise DomainError("synthetic series runs past the year 9999")
+        # the sample step rounded to a whole microsecond, as timedelta rounds it
+        step = timedelta(hours=seg.duration_hours / seg.n_samples) // _ONE_US
         noisy = seg.mean_kw + rng.normal(0.0, seg.noise_sd_kw, seg.n_samples)
-        noisy = np.maximum(noisy, 0.0)
-        timestamps.extend(segment_start + i * step for i in range(seg.n_samples))
-        values.extend(float(v) for v in noisy)
-        segment_start = segment_start + timedelta(hours=seg.duration_hours)
-    return PowerSeries(tuple(timestamps), tuple(values))
+        times.append(segment_start + step * np.arange(seg.n_samples, dtype=np.int64))
+        values.append(np.maximum(noisy, 0.0))
+        segment_start += timedelta(hours=seg.duration_hours) // _ONE_US
+    return PowerSeries.from_arrays(np.concatenate(times), np.concatenate(values))

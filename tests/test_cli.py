@@ -1,6 +1,7 @@
 import hashlib
 import json
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
@@ -299,3 +300,69 @@ def test_inputs_are_never_mutated(capsys):
     _run(capsys, "simulate", "builtin:baseline_scenario.json")
     after = [hashlib.sha256(p.read_bytes()).hexdigest() for p in targets]
     assert before == after
+
+
+def _assert_one_error_line(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("gap", ["nan", "inf", "1e300"])
+def test_telemetry_rejects_unrepresentable_gap(capsys, step_csv, gap):
+    code, out, err = _run(capsys, "telemetry", str(step_csv), "--detect", "--gap", gap)
+    _assert_one_error_line(code, out, err)
+    assert err == f"error: guard gap is out of range: {float(gap)} hours\n"
+
+
+def test_telemetry_negative_gap_is_given_in_hours(capsys, step_csv):
+    code, out, err = _run(capsys, "telemetry", str(step_csv), "--detect", "--gap", "-1")
+    _assert_one_error_line(code, out, err)
+    assert err == "error: guard gap must be >= 0 hours, got -1.0\n"
+
+
+def test_telemetry_gap_past_the_datetime_range(capsys, step_csv):
+    code, out, err = _run(capsys, "telemetry", str(step_csv), "--detect", "--gap", "1e8")
+    _assert_one_error_line(code, out, err)
+    assert "leaves the years 1 to 9999" in err
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("duration_hours", "NaN"),
+        ("duration_hours", "Infinity"),
+        ("duration_hours", "1e300"),
+        ("mean_kw", "NaN"),
+        ("mean_kw", "Infinity"),
+        ("noise_sd_kw", "NaN"),
+        ("noise_sd_kw", "-Infinity"),
+    ],
+)
+def test_synth_rejects_non_finite_or_huge_segment_fields(capsys, tmp_path, field, value):
+    segment = {"duration_hours": "24", "n_samples": "24", "mean_kw": "3220", "noise_sd_kw": "0"}
+    segment[field] = value
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text(
+        '{"start": "2022-01-01T00:00:00Z", "seed": 1, "segments": [{'
+        + ", ".join(f'"{k}": {v}' for k, v in segment.items())
+        + "}]}"
+    )
+    output = tmp_path / "out.csv"
+    code, out, err = _run(capsys, "synth", str(recipe), "-o", str(output))
+    _assert_one_error_line(code, out, err)
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("source", ["--intensity", "--profile"])
+@pytest.mark.parametrize("power", ["1", "0"])
+def test_emissions_rejects_hours_past_the_datetime_range(capsys, tmp_path, source, power):
+    value = "50"
+    if source == "--profile":
+        value = str(tmp_path / "intensity.csv")
+        Path(value).write_text("timestamp,intensity_g_per_kwh\n2022-01-01T00:00:00Z,20\n")
+    code, out, err = _run(
+        capsys, "emissions", source, value, "--power-kw", power, "--hours", "1e20"
+    )
+    _assert_one_error_line(code, out, err)
+    assert err.startswith("error: duration must end by the year 9999, got 1e+20 hours from ")
