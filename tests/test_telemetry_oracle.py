@@ -3,6 +3,7 @@ replaced, which is kept here verbatim as the oracle: the vectorized CSV parse,
 the chunked writer, integer-microsecond synthesis, and the searchsorted
 windows and changepoint."""
 
+import copy
 import csv
 import math
 import pickle
@@ -469,7 +470,9 @@ def test_tuple_and_array_constructions_agree():
     assert series.timestamps == stamps and series.values_kw == values
     assert repr(series) == f"PowerSeries(timestamps={stamps!r}, values_kw={values!r})"
     assert list(series.samples()) == list(zip(stamps, values))
-    assert pickle.loads(pickle.dumps(series)) == series
+    for twin in (pickle.loads(pickle.dumps(series)), copy.deepcopy(series), copy.copy(series)):
+        assert twin == series and type(twin) is PowerSeries
+        assert not (twin.times_us.flags.writeable or twin.power_kw.flags.writeable)
     # naive times are UTC; other zones are the same instants
     plus_one = timezone(timedelta(hours=1))
     assert PowerSeries([t.replace(tzinfo=None) for t in stamps], values) == series
