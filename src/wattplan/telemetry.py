@@ -251,6 +251,7 @@ def _parse_canonical_rows(
     stamp = sliding_window_view(body, _STAMP_BYTES)[starts]
     if not (stamp[:, _STAMP_SEPARATOR_AT] == _STAMP_SEPARATORS).all():
         return None
+    # numpy's parser would also take a sign, a space or a NUL in the year
     if (stamp[:, _STAMP_DIGIT_AT] - np.uint8(ord("0")) > 9).any():
         return None
     # with every byte pinned to YYYY-MM-DDTHH:MM:SS, numpy's ISO parser checks

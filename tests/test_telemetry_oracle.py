@@ -124,6 +124,12 @@ STAMP_EDITS = [
     "2022-01-01T23:60:00Z",
     "2022-01-01T23:59:60Z",
     "0000-01-01T00:00:00Z",
+    # the right length and separators, but not all digits; numpy's own
+    # ISO parser would read each of these as some time
+    " 022-06-01T00:00:00Z",
+    "+022-06-01T00:00:00Z",
+    "-022-06-01T00:00:00Z",
+    "2\x0022-06-01T00:00:00Z",
     "2022-06-01T00:00:00.5Z",
     "2022-06-01T00:00:00.000001Z",
     "2022-06-01T00:00:00+00:00",
@@ -170,7 +176,7 @@ def test_one_odd_row_matches_the_reference(tmp_path, text):
 
 # where each field of "YYYY-MM-DDTHH:MM:SSZ" sits, and values to put there
 STAMP_FIELDS = [
-    (0, 4, ["0000", "0001", "9999"]),
+    (0, 4, ["0000", "0001", "9999", " 022", "+022", "-022"]),
     (5, 7, ["00", "01", "02", "12", "13"]),
     (8, 10, ["00", "28", "29", "30", "31", "32"]),
     (11, 13, ["00", "23", "24"]),
