@@ -14,12 +14,13 @@ import sys
 from datetime import timedelta
 from pathlib import Path
 
-from .datafiles import resolve_input_path
+from .datafiles import check_fields, integer, number, read_json, resolve_input_path, string
 from .emissions import (
     CarbonIntensityProfile,
     EmbodiedEmissions,
     EmissionsBreakdown,
     classify_scenario,
+    embodied_from_dict,
     lifetime_emissions,
     recommended_objective,
 )
@@ -57,7 +58,11 @@ def _pct(fraction: float) -> str:
 
 
 def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"a result is not finite ({exc})") from None
+    print(text)
 
 
 def _kv_table(pairs: list[tuple[str, str]]) -> str:
@@ -111,26 +116,14 @@ def _cmd_power(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_weights(path: Path) -> dict[str, float]:
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise DataFormatError(f"{path}: weights must be a JSON object of app to weight")
-    for app, weight in doc.items():
-        if not isinstance(weight, (int, float)) or isinstance(weight, bool):
-            raise DataFormatError(f"{path}: weight for {app!r} must be a number")
-    return {app: float(weight) for app, weight in doc.items()}
-
-
 def _cmd_policy(args: argparse.Namespace) -> int:
     benchmarks = load_benchmark_table(resolve_input_path(args.benchmarks_file))
     if not benchmarks:
         raise DomainError("benchmark table is empty")
     rule = PolicyRule(args.threshold)
     if args.weights:
-        weights = _load_weights(resolve_input_path(args.weights))
+        path = resolve_input_path(args.weights)
+        weights = JobMix.from_dict(read_json(path), str(path)).weights
     else:
         weights = JobMix.equal(sorted({b.app_name for b in benchmarks})).weights
     fleet = fleet_ratios(benchmarks, weights, rule)
@@ -237,21 +230,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_embodied(path: Path) -> EmbodiedEmissions:
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict) or set(doc) != {"total_kgco2e", "service_lifetime_hours"}:
-        raise DataFormatError(
-            f"{path}: expected exactly 'total_kgco2e' and 'service_lifetime_hours'"
-        )
-    return EmbodiedEmissions(
-        total_kgco2e=float(doc["total_kgco2e"]),
-        service_lifetime_hours=float(doc["service_lifetime_hours"]),
-    )
-
-
 def _cmd_emissions(args: argparse.Namespace) -> int:
     if args.intensity is not None:
         profile = CarbonIntensityProfile.constant(args.intensity)
@@ -259,7 +237,10 @@ def _cmd_emissions(args: argparse.Namespace) -> int:
     else:
         profile = CarbonIntensityProfile.from_csv(resolve_input_path(args.profile))
         anchor = profile.start_time()
-    embodied = _load_embodied(resolve_input_path(args.embodied)) if args.embodied else None
+    embodied = None
+    if args.embodied:
+        path = resolve_input_path(args.embodied)
+        embodied = embodied_from_dict(read_json(path), str(path))
     energy_kwh = args.power_kw * args.hours
 
     if embodied is not None:
@@ -379,44 +360,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-_RECIPE_FIELDS = {"start", "seed", "segments"}
-_SEGMENT_FIELDS = {"duration_hours", "n_samples", "mean_kw", "noise_sd_kw"}
-
-
 def _load_recipe(path: Path) -> tuple:
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise DataFormatError(f"{path}: expected a JSON object")
-    unknown = set(doc) - _RECIPE_FIELDS
-    if unknown:
-        raise DataFormatError(f"{path}: unknown field(s): {', '.join(sorted(unknown))}")
-    missing = _RECIPE_FIELDS - set(doc)
-    if missing:
-        raise DataFormatError(f"{path}: missing field(s): {', '.join(sorted(missing))}")
-    start = parse_timestamp(doc["start"])
-    if not isinstance(doc["seed"], int) or isinstance(doc["seed"], bool):
-        raise DataFormatError(f"{path}: 'seed' must be an integer")
+    where = str(path)
+    doc = check_fields(read_json(path), where, ("start", "seed", "segments"))
+    start = parse_timestamp(string(doc, "start", where))
+    seed = integer(doc, "seed", where)
     if not isinstance(doc["segments"], list) or not doc["segments"]:
-        raise DataFormatError(f"{path}: 'segments' must be a non-empty list")
+        raise DataFormatError(f"{where}: 'segments' must be a non-empty list")
     segments = []
     for i, seg in enumerate(doc["segments"], start=1):
-        if not isinstance(seg, dict) or set(seg) != _SEGMENT_FIELDS:
-            raise DataFormatError(
-                f"{path}: segment #{i} must contain exactly "
-                f"{', '.join(sorted(_SEGMENT_FIELDS))}"
-            )
+        seg_where = f"{where}: segment #{i}"
+        check_fields(seg, seg_where, ("duration_hours", "n_samples", "mean_kw", "noise_sd_kw"))
         segments.append(
             SeriesSegment(
-                duration_hours=float(seg["duration_hours"]),
-                n_samples=int(seg["n_samples"]),
-                mean_kw=float(seg["mean_kw"]),
-                noise_sd_kw=float(seg["noise_sd_kw"]),
+                duration_hours=number(seg, "duration_hours", seg_where),
+                n_samples=integer(seg, "n_samples", seg_where),
+                mean_kw=number(seg, "mean_kw", seg_where),
+                noise_sd_kw=number(seg, "noise_sd_kw", seg_where),
             )
         )
-    return start, doc["seed"], segments
+    return start, seed, segments
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:

@@ -1,9 +1,19 @@
-"""Access to the data files bundled with the package."""
+"""Access to the data files bundled with the package, and the JSON input
+boundary every loader goes through.
+
+The boundary checks JSON type and shape only: a value of the wrong type, a
+missing or unknown field, or a file that is not JSON raises DataFormatError.
+Whether a well-typed value is in range is left to the dataclass it builds,
+which raises DomainError.
+"""
 
 from __future__ import annotations
 
+import json
 from importlib.resources import files
 from pathlib import Path
+
+from .errors import DataFormatError
 
 BUILTIN_PREFIX = "builtin:"
 
@@ -27,3 +37,68 @@ def resolve_input_path(arg: str) -> Path:
     if arg.startswith(BUILTIN_PREFIX):
         return data_path(arg[len(BUILTIN_PREFIX):])
     return Path(arg)
+
+
+def read_json(path: str | Path):
+    """Parse a JSON file. Python's NaN and Infinity literals are accepted here
+    and left to the range checks of whatever the document builds."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
+
+
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number", float: "number"}
+
+
+def _json_type(value) -> str:
+    return "boolean" if isinstance(value, bool) else _JSON_TYPES.get(type(value), "null")
+
+
+def check_object(doc, where: str) -> dict:
+    """Return doc if it is a JSON object."""
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{where}: expected an object, got {_json_type(doc)}")
+    return doc
+
+
+def check_fields(doc, where: str, required, optional=()) -> dict:
+    """Return doc if it is a JSON object holding every required field and no
+    field outside required and optional."""
+    check_object(doc, where)
+    unknown = set(doc) - set(required) - set(optional)
+    if unknown:
+        raise DataFormatError(f"{where}: unknown field(s): {', '.join(sorted(unknown))}")
+    missing = set(required) - set(doc)
+    if missing:
+        raise DataFormatError(f"{where}: missing field(s): {', '.join(sorted(missing))}")
+    return doc
+
+
+def _field(doc: dict, key: str, where: str, kinds, what: str, default=None):
+    """doc[key] if it is one of kinds; an absent key gives the default, if any."""
+    if default is not None and key not in doc:
+        return default
+    value = doc[key]
+    # bool is a subclass of int, but JSON's true is not a number
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise DataFormatError(f"{where}: {key!r} must be {what}, got {_json_type(value)}")
+    return value
+
+
+def number(doc: dict, key: str, where: str, default: float | None = None) -> float:
+    """doc[key] as a float; NaN and infinities pass, for the range checks."""
+    value = _field(doc, key, where, (int, float), "a number", default)
+    try:
+        return float(value)
+    except OverflowError:
+        raise DataFormatError(f"{where}: {key!r} is too large for a float") from None
+
+
+def integer(doc: dict, key: str, where: str) -> int:
+    """doc[key] as an int; a float such as 2.0 or 2.7 is not an integer."""
+    return _field(doc, key, where, int, "an integer")
+
+
+def string(doc: dict, key: str, where: str, default: str | None = None) -> str:
+    return _field(doc, key, where, str, "a string", default)

@@ -11,6 +11,7 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
 
+from .datafiles import check_fields, number
 from .errors import DataFormatError, DomainError
 from .timestamps import format_timestamp, parse_timestamp
 
@@ -50,6 +51,15 @@ class EmbodiedEmissions:
             raise DomainError(
                 f"service lifetime must be > 0 hours, got {self.service_lifetime_hours}"
             )
+
+
+def embodied_from_dict(doc, where: str) -> EmbodiedEmissions:
+    """EmbodiedEmissions from a JSON object of exactly its two fields."""
+    check_fields(doc, where, ("total_kgco2e", "service_lifetime_hours"))
+    return EmbodiedEmissions(
+        total_kgco2e=number(doc, "total_kgco2e", where),
+        service_lifetime_hours=number(doc, "service_lifetime_hours", where),
+    )
 
 
 @dataclass(frozen=True)
@@ -250,8 +260,6 @@ def amortized_scope3(embodied: EmbodiedEmissions, duration_hours: float) -> floa
     """Linear share of the embodied emissions attributable to a duration."""
     if not (math.isfinite(duration_hours) and duration_hours >= 0):
         raise DomainError(f"duration must be >= 0 hours, got {duration_hours}")
-    if embodied.service_lifetime_hours <= 0:
-        raise DomainError("service lifetime must be > 0 hours")
     return embodied.total_kgco2e * duration_hours / embodied.service_lifetime_hours
 
 

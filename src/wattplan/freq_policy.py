@@ -4,6 +4,7 @@ revert-threshold rule that picks each application's default CPU frequency."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -45,9 +46,9 @@ class AppBenchmark:
             raise DomainError("benchmark app_name must be non-empty")
         if not isinstance(self.nodes, int) or self.nodes < 1:
             raise DomainError(f"benchmark {self.app_name!r}: nodes must be >= 1, got {self.nodes!r}")
-        if self.perf_ratio <= 0:
+        if not (math.isfinite(self.perf_ratio) and self.perf_ratio > 0):
             raise DomainError(f"benchmark {self.app_name!r}: perf_ratio must be > 0, got {self.perf_ratio}")
-        if self.energy_ratio <= 0:
+        if not (math.isfinite(self.energy_ratio) and self.energy_ratio > 0):
             raise DomainError(
                 f"benchmark {self.app_name!r}: energy_ratio must be > 0, got {self.energy_ratio}"
             )
@@ -147,7 +148,7 @@ def fleet_ratios(
     all_apps = {b.app_name for b in benchmarks}
 
     for app, weight in weights.items():
-        if weight < 0:
+        if not (math.isfinite(weight) and weight >= 0):
             raise DomainError(f"weight for {app!r} must be >= 0, got {weight}")
         if app not in all_apps:
             raise DomainError(f"unknown app in weights: {app!r}")

@@ -9,10 +9,12 @@ frequency caps) enter as multiplicative factors on a single component's draw.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
+from .datafiles import check_fields, integer, number, read_json, string
 from .errors import DataFormatError, DomainError
 
 
@@ -52,9 +54,14 @@ class ComponentSpec:
             raise DomainError(
                 f"component {self.name!r}: count must be a positive integer, got {self.count!r}"
             )
-        if self.idle_kw_per_unit < 0:
+        if not (math.isfinite(self.idle_kw_per_unit) and self.idle_kw_per_unit >= 0):
             raise DomainError(
                 f"component {self.name!r}: idle draw must be >= 0 kW, got {self.idle_kw_per_unit}"
+            )
+        if not math.isfinite(self.loaded_kw_per_unit):
+            raise DomainError(
+                f"component {self.name!r}: loaded draw must be finite, "
+                f"got {self.loaded_kw_per_unit}"
             )
         if self.loaded_kw_per_unit < self.idle_kw_per_unit:
             raise DomainError(
@@ -132,7 +139,7 @@ def apply_power_factor(
     Factors compose multiplicatively and order-independently; the input model
     is not modified.
     """
-    if factor < 0:
+    if not (math.isfinite(factor) and factor >= 0):
         raise DomainError(f"power factor must be >= 0, got {factor}")
     spec = model.component(component)
     if mode is FactorMode.WHOLE_DRAW:
@@ -169,8 +176,8 @@ def reference_model_archer2() -> SystemModel:
     )
 
 
-_MODEL_FIELDS = {"name", "components", "compute_component"}
-_COMPONENT_FIELDS = {"name", "count", "idle_kw_per_unit", "loaded_kw_per_unit", "load_response"}
+_MODEL_FIELDS = ("name", "components", "compute_component")
+_COMPONENT_FIELDS = ("name", "count", "idle_kw_per_unit", "loaded_kw_per_unit", "load_response")
 
 
 def model_to_dict(model: SystemModel) -> dict:
@@ -190,69 +197,46 @@ def model_to_dict(model: SystemModel) -> dict:
     }
 
 
-def _component_from_dict(doc: dict, where: str) -> ComponentSpec:
-    if not isinstance(doc, dict):
-        raise DataFormatError(f"{where}: expected an object, got {type(doc).__name__}")
-    unknown = set(doc) - _COMPONENT_FIELDS
-    if unknown:
-        raise DataFormatError(f"{where}: unknown field(s): {', '.join(sorted(unknown))}")
-    missing = _COMPONENT_FIELDS - set(doc)
-    if missing:
-        raise DataFormatError(f"{where}: missing field(s): {', '.join(sorted(missing))}")
-    if not isinstance(doc["name"], str):
-        raise DataFormatError(f"{where}: 'name' must be a string")
-    if not isinstance(doc["count"], int) or isinstance(doc["count"], bool):
-        raise DataFormatError(f"{where}: 'count' must be an integer")
-    for key in ("idle_kw_per_unit", "loaded_kw_per_unit"):
-        if not isinstance(doc[key], (int, float)) or isinstance(doc[key], bool):
-            raise DataFormatError(f"{where}: {key!r} must be a number")
+def _component_from_dict(doc, where: str) -> ComponentSpec:
+    check_fields(doc, where, _COMPONENT_FIELDS)
+    response = string(doc, "load_response", where)
     try:
-        response = LoadResponse(doc["load_response"])
+        load_response = LoadResponse(response)
     except ValueError:
         raise DataFormatError(
-            f"{where}: 'load_response' must be 'linear' or 'constant', got {doc['load_response']!r}"
+            f"{where}: 'load_response' must be 'linear' or 'constant', got {response!r}"
         ) from None
     return ComponentSpec(
-        name=doc["name"],
-        count=doc["count"],
-        idle_kw_per_unit=float(doc["idle_kw_per_unit"]),
-        loaded_kw_per_unit=float(doc["loaded_kw_per_unit"]),
-        load_response=response,
+        name=string(doc, "name", where),
+        count=integer(doc, "count", where),
+        idle_kw_per_unit=number(doc, "idle_kw_per_unit", where),
+        loaded_kw_per_unit=number(doc, "loaded_kw_per_unit", where),
+        load_response=load_response,
     )
 
 
-def model_from_dict(doc: dict) -> SystemModel:
+def model_from_dict(doc, where: str = "model document") -> SystemModel:
     """Build a SystemModel from its JSON representation; unknown fields are rejected."""
-    if not isinstance(doc, dict):
-        raise DataFormatError(f"model document: expected an object, got {type(doc).__name__}")
-    unknown = set(doc) - _MODEL_FIELDS
-    if unknown:
-        raise DataFormatError(f"model document: unknown field(s): {', '.join(sorted(unknown))}")
-    missing = _MODEL_FIELDS - set(doc)
-    if missing:
-        raise DataFormatError(f"model document: missing field(s): {', '.join(sorted(missing))}")
-    if not isinstance(doc["name"], str):
-        raise DataFormatError("model document: 'name' must be a string")
+    check_fields(doc, where, _MODEL_FIELDS)
     compute = doc["compute_component"]
-    if compute is not None and not isinstance(compute, str):
-        raise DataFormatError("model document: 'compute_component' must be a string or null")
-    if not isinstance(doc["components"], list):
-        raise DataFormatError("model document: 'components' must be a list")
-    components = tuple(
-        _component_from_dict(comp, f"component #{i + 1}")
-        for i, comp in enumerate(doc["components"])
+    if compute is not None:
+        compute = string(doc, "compute_component", where)
+    components = doc["components"]
+    if not isinstance(components, list):
+        raise DataFormatError(f"{where}: 'components' must be a list")
+    return SystemModel(
+        name=string(doc, "name", where),
+        components=tuple(
+            _component_from_dict(comp, f"{where}: component #{i}")
+            for i, comp in enumerate(components, start=1)
+        ),
+        compute_component=compute,
     )
-    return SystemModel(name=doc["name"], components=components, compute_component=compute)
 
 
 def load_model(path: str | Path) -> SystemModel:
     """Load a SystemModel from a JSON file."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
-    return model_from_dict(doc)
+    return model_from_dict(read_json(path), str(path))
 
 
 def save_model(model: SystemModel, path: str | Path) -> None:

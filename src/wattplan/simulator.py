@@ -4,14 +4,16 @@ throughput index out, plus threshold sweeps over the revert rule."""
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .datafiles import check_fields, check_object, number, read_json, string
 from .emissions import (
     CarbonIntensityProfile,
     EmbodiedEmissions,
     EmissionsBreakdown,
+    embodied_from_dict,
     lifetime_emissions,
 )
 from .errors import DataFormatError, DomainError
@@ -47,7 +49,7 @@ class JobMix:
     def __post_init__(self) -> None:
         total = 0.0
         for app, weight in self.weights.items():
-            if weight < 0:
+            if not (math.isfinite(weight) and weight >= 0):
                 raise DomainError(f"mix weight for {app!r} must be >= 0, got {weight}")
             total += weight
         if abs(total - 1.0) > 1e-9:
@@ -60,6 +62,12 @@ class JobMix:
             raise DomainError("an equal mix needs at least one app")
         share = 1.0 / len(apps)
         return cls(weights={app: share for app in apps})
+
+    @classmethod
+    def from_dict(cls, doc, where: str) -> "JobMix":
+        """A mix from a JSON object of app name to weight."""
+        check_object(doc, where)
+        return cls(weights={app: number(doc, app, where) for app in doc})
 
 
 @dataclass(frozen=True)
@@ -79,9 +87,9 @@ class ScenarioConfig:
         object.__setattr__(self, "benchmarks", tuple(self.benchmarks))
         if not 0.0 <= self.utilization <= 1.0:
             raise DomainError(f"utilization must be within [0, 1], got {self.utilization}")
-        if self.duration_hours <= 0:
+        if not (math.isfinite(self.duration_hours) and self.duration_hours > 0):
             raise DomainError(f"duration must be > 0 hours, got {self.duration_hours}")
-        if self.bios_factor <= 0:
+        if not (math.isfinite(self.bios_factor) and self.bios_factor > 0):
             raise DomainError(f"bios_factor must be > 0, got {self.bios_factor}")
 
 
@@ -176,39 +184,14 @@ def sweep_threshold(config: ScenarioConfig, thresholds) -> list[tuple[float, Sce
     return results
 
 
-_CONFIG_FIELDS = {
-    "name",
-    "model",
-    "benchmarks",
-    "mix",
-    "rule",
-    "utilization",
-    "duration_hours",
-    "carbon",
-    "bios_factor",
-    "embodied",
-}
-_REQUIRED_CONFIG_FIELDS = _CONFIG_FIELDS - {"name", "bios_factor", "embodied"}
-
-
-def _require_number(doc: dict, key: str, where: str) -> float:
-    value = doc.get(key)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise DataFormatError(f"{where}: {key!r} must be a number")
-    return float(value)
-
-
 def _carbon_from_dict(doc, base_dir: Path, where: str) -> CarbonIntensityProfile:
-    if not isinstance(doc, dict):
-        raise DataFormatError(f"{where}: 'carbon' must be an object")
+    check_object(doc, where)
     if set(doc) == {"constant_g_per_kwh"}:
-        return CarbonIntensityProfile.constant(_require_number(doc, "constant_g_per_kwh", where))
+        return CarbonIntensityProfile.constant(number(doc, "constant_g_per_kwh", where))
     if set(doc) == {"series_csv"}:
-        if not isinstance(doc["series_csv"], str):
-            raise DataFormatError(f"{where}: 'series_csv' must be a path string")
-        return CarbonIntensityProfile.from_csv(base_dir / doc["series_csv"])
+        return CarbonIntensityProfile.from_csv(base_dir / string(doc, "series_csv", where))
     raise DataFormatError(
-        f"{where}: 'carbon' must contain exactly one of 'constant_g_per_kwh' or 'series_csv'"
+        f"{where}: must contain exactly one of 'constant_g_per_kwh' or 'series_csv'"
     )
 
 
@@ -220,75 +203,36 @@ def load_scenario_config(path: str | Path) -> ScenarioConfig:
     the string "equal" for an equal split over every benchmarked app.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise DataFormatError(f"{path}: expected a JSON object")
-    unknown = set(doc) - _CONFIG_FIELDS
-    if unknown:
-        raise DataFormatError(f"{path}: unknown field(s): {', '.join(sorted(unknown))}")
-    missing = _REQUIRED_CONFIG_FIELDS - set(doc)
-    if missing:
-        raise DataFormatError(f"{path}: missing field(s): {', '.join(sorted(missing))}")
-
+    where = str(path)
+    doc = check_fields(
+        read_json(path),
+        where,
+        required=("model", "benchmarks", "mix", "rule", "utilization", "duration_hours", "carbon"),
+        optional=("name", "bios_factor", "embodied"),
+    )
     base_dir = path.parent
-    if not isinstance(doc["model"], str):
-        raise DataFormatError(f"{path}: 'model' must be a path string")
-    if not isinstance(doc["benchmarks"], str):
-        raise DataFormatError(f"{path}: 'benchmarks' must be a path string")
-    model = load_model(base_dir / doc["model"])
-    benchmarks = load_benchmark_table(base_dir / doc["benchmarks"])
-
-    mix_doc = doc["mix"]
-    if mix_doc == "equal":
+    model = load_model(base_dir / string(doc, "model", where))
+    benchmarks = load_benchmark_table(base_dir / string(doc, "benchmarks", where))
+    if doc["mix"] == "equal":
         mix = JobMix.equal(sorted({b.app_name for b in benchmarks}))
-    elif isinstance(mix_doc, dict):
-        for app, weight in mix_doc.items():
-            if not isinstance(weight, (int, float)) or isinstance(weight, bool):
-                raise DataFormatError(f"{path}: mix weight for {app!r} must be a number")
-        mix = JobMix(weights={app: float(w) for app, w in mix_doc.items()})
     else:
-        raise DataFormatError(f"{path}: 'mix' must be an object or the string \"equal\"")
-
-    rule_doc = doc["rule"]
-    if not isinstance(rule_doc, dict) or set(rule_doc) != {"perf_loss_threshold"}:
-        raise DataFormatError(f"{path}: 'rule' must be an object with 'perf_loss_threshold'")
-    rule = PolicyRule(_require_number(rule_doc, "perf_loss_threshold", str(path)))
-
-    carbon = _carbon_from_dict(doc["carbon"], base_dir, str(path))
-
-    embodied = None
-    if "embodied" in doc and doc["embodied"] is not None:
-        emb_doc = doc["embodied"]
-        if not isinstance(emb_doc, dict) or set(emb_doc) != {
-            "total_kgco2e",
-            "service_lifetime_hours",
-        }:
-            raise DataFormatError(
-                f"{path}: 'embodied' must contain exactly "
-                "'total_kgco2e' and 'service_lifetime_hours'"
-            )
-        embodied = EmbodiedEmissions(
-            total_kgco2e=_require_number(emb_doc, "total_kgco2e", str(path)),
-            service_lifetime_hours=_require_number(emb_doc, "service_lifetime_hours", str(path)),
-        )
-
-    name = doc.get("name", path.stem)
-    if not isinstance(name, str):
-        raise DataFormatError(f"{path}: 'name' must be a string")
+        mix = JobMix.from_dict(doc["mix"], f"{where}: 'mix'")
+    rule_where = f"{where}: 'rule'"
+    rule_doc = check_fields(doc["rule"], rule_where, ("perf_loss_threshold",))
+    embodied = doc.get("embodied")
+    if embodied is not None:
+        embodied = embodied_from_dict(embodied, f"{where}: 'embodied'")
     return ScenarioConfig(
         model=model,
-        utilization=_require_number(doc, "utilization", str(path)),
+        utilization=number(doc, "utilization", where),
         mix=mix,
         benchmarks=tuple(benchmarks),
-        rule=rule,
-        duration_hours=_require_number(doc, "duration_hours", str(path)),
-        carbon=carbon,
-        bios_factor=float(doc.get("bios_factor", 1.0)),
+        rule=PolicyRule(number(rule_doc, "perf_loss_threshold", rule_where)),
+        duration_hours=number(doc, "duration_hours", where),
+        carbon=_carbon_from_dict(doc["carbon"], base_dir, f"{where}: 'carbon'"),
+        bios_factor=number(doc, "bios_factor", where, default=1.0),
         embodied=embodied,
-        name=name,
+        name=string(doc, "name", where, default=path.stem),
     )
 
 

@@ -453,6 +453,8 @@ def synth_series(
     segs = [s if isinstance(s, SeriesSegment) else SeriesSegment(*s) for s in segments]
     if not segs:
         raise DomainError("at least one segment is required")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     times: list[np.ndarray] = []
     values: list[np.ndarray] = []
@@ -463,7 +465,15 @@ def synth_series(
             raise DomainError("synthetic series runs past the year 9999")
         # the sample step rounded to a whole microsecond, as timedelta rounds it
         step = timedelta(hours=seg.duration_hours / seg.n_samples) // _ONE_US
-        noisy = seg.mean_kw + rng.normal(0.0, seg.noise_sd_kw, seg.n_samples)
+        # checked before the samples are drawn, which could not be allocated
+        if step == 0 and seg.n_samples > 1:
+            raise DomainError(
+                f"timestamps must be strictly increasing: {seg.n_samples} samples "
+                f"in {seg.duration_hours} hours are less than 1 us apart"
+            )
+        # a sum past the float range is inf, which PowerSeries rejects
+        with np.errstate(over="ignore"):
+            noisy = seg.mean_kw + rng.normal(0.0, seg.noise_sd_kw, seg.n_samples)
         times.append(segment_start + step * np.arange(seg.n_samples, dtype=np.int64))
         values.append(np.maximum(noisy, 0.0))
         segment_start += timedelta(hours=seg.duration_hours) // _ONE_US

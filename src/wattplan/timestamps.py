@@ -15,7 +15,12 @@ def parse_timestamp(text: str) -> datetime:
         raise DataFormatError(f"invalid ISO-8601 timestamp: {text!r}") from None
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+    try:
+        return ts.astimezone(timezone.utc)
+    except OverflowError:
+        raise DataFormatError(
+            f"timestamp is outside the years 1 to 9999 in UTC: {text!r}"
+        ) from None
 
 
 def format_timestamp(ts: datetime) -> str:

@@ -337,11 +337,13 @@ def test_telemetry_gap_past_the_datetime_range(capsys, step_csv):
         ("mean_kw", "Infinity"),
         ("noise_sd_kw", "NaN"),
         ("noise_sd_kw", "-Infinity"),
+        # finite fields whose noisy sum overflows
+        pytest.param("mean_kw,noise_sd_kw", "1e308", id="mean_kw,noise_sd_kw-1e308"),
     ],
 )
 def test_synth_rejects_non_finite_or_huge_segment_fields(capsys, tmp_path, field, value):
     segment = {"duration_hours": "24", "n_samples": "24", "mean_kw": "3220", "noise_sd_kw": "0"}
-    segment[field] = value
+    segment.update(dict.fromkeys(field.split(","), value))
     recipe = tmp_path / "recipe.json"
     recipe.write_text(
         '{"start": "2022-01-01T00:00:00Z", "seed": 1, "segments": [{'
@@ -366,3 +368,173 @@ def test_emissions_rejects_hours_past_the_datetime_range(capsys, tmp_path, sourc
     )
     _assert_one_error_line(code, out, err)
     assert err.startswith("error: duration must end by the year 9999, got 1e+20 hours from ")
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _assert_rejected(code, out, err, exit_code):
+    assert code == exit_code, err
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _write_json(path, doc):
+    # json.dumps writes nan and inf as the NaN and Infinity literals
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _model_doc():
+    return json.loads(data_path("archer2_system.json").read_text())
+
+
+def _scenario_doc(**fields):
+    doc = json.loads(data_path("stacked_scenario.json").read_text())
+    doc["model"] = str(data_path("archer2_system.json"))
+    doc["benchmarks"] = str(data_path("table4_freq.csv"))
+    return {**doc, **fields}
+
+
+def _recipe_doc():
+    return json.loads(data_path("recipe_bios_step.json").read_text())
+
+
+@pytest.mark.parametrize("field", ["idle_kw_per_unit", "loaded_kw_per_unit"])
+@pytest.mark.parametrize("value", [NAN, INF])
+def test_power_rejects_non_finite_component_draw(capsys, tmp_path, field, value):
+    doc = _model_doc()
+    doc["components"][2][field] = value
+    model = _write_json(tmp_path / "model.json", doc)
+    code, out, err = _run(capsys, "power", model, "-u", "1", "--format", "json")
+    _assert_one_error_line(code, out, err)
+    assert "cabinet_overheads" in err
+
+
+@pytest.mark.parametrize("column", [3, 4])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_policy_rejects_non_finite_benchmark_ratio(capsys, tmp_path, column, value):
+    rows = data_path("table4_freq.csv").read_text().splitlines()
+    fields = rows[1].split(",")
+    fields[column] = value
+    rows[1] = ",".join(fields)
+    (tmp_path / "table.csv").write_text("\n".join(rows) + "\n")
+    code, out, err = _run(capsys, "policy", str(tmp_path / "table.csv"), "--format", "json")
+    _assert_one_error_line(code, out, err)
+    assert "_ratio must be > 0" in err
+
+
+@pytest.mark.parametrize("value", [NAN, INF, -INF])
+def test_policy_rejects_non_finite_weight(capsys, tmp_path, value):
+    weights = _write_json(tmp_path / "weights.json", {"LAMMPS Ethanol": value})
+    code, out, err = _run(
+        capsys, "policy", "builtin:table4_freq.csv", "--weights", weights, "--format", "json"
+    )
+    _assert_one_error_line(code, out, err)
+
+
+def test_simulate_rejects_non_finite_mix_weight(capsys, tmp_path):
+    config = _write_json(tmp_path / "config.json", _scenario_doc(mix={"LAMMPS Ethanol": NAN}))
+    code, out, err = _run(capsys, "simulate", config, "--format", "json")
+    _assert_one_error_line(code, out, err)
+
+
+@pytest.mark.parametrize("field", ["bios_factor", "duration_hours"])
+@pytest.mark.parametrize("value", [NAN, INF])
+def test_simulate_rejects_non_finite_scenario_numbers(capsys, tmp_path, field, value):
+    config = _write_json(tmp_path / "config.json", _scenario_doc(**{field: value}))
+    code, out, err = _run(capsys, "simulate", config, "--format", "json")
+    _assert_one_error_line(code, out, err)
+    assert "must be > 0" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_power_rejects_non_finite_factor(capsys, value):
+    code, out, err = _run(
+        capsys, "power", "builtin:archer2_system.json", "-u", "1",
+        "--factor", f"compute_nodes={value}", "--format", "json",
+    )
+    _assert_one_error_line(code, out, err)
+    assert err == f"error: power factor must be >= 0, got {float(value)}\n"
+
+
+def test_telemetry_rejects_a_stamp_that_leaves_the_datetime_range(capsys, tmp_path):
+    series = tmp_path / "series.csv"
+    series.write_text(
+        "timestamp,power_kw\n0001-01-01T00:00:00+01:00,5\n0001-01-02T00:00:00Z,6\n"
+    )
+    code, out, err = _run(capsys, "telemetry", str(series), "--detect")
+    _assert_rejected(code, out, err, 2)
+    assert "line 2: timestamp is outside the years 1 to 9999 in UTC" in err
+    code, out, err = _run(
+        capsys, "telemetry", str(series), "--change-time", "9999-12-31T23:00:00-01:00"
+    )
+    _assert_rejected(code, out, err, 2)
+
+
+def test_power_json_rejects_a_result_past_the_float_range(capsys, tmp_path):
+    doc = _model_doc()
+    doc["components"][0].update(idle_kw_per_unit=1e308, loaded_kw_per_unit=1e308)
+    model = _write_json(tmp_path / "model.json", doc)
+    code, out, err = _run(capsys, "power", model, "-u", "1", "--format", "json")
+    _assert_one_error_line(code, out, err)
+
+
+@pytest.mark.parametrize("value", ["x", True, None, []])
+def test_simulate_rejects_a_bios_factor_that_is_not_a_number(capsys, tmp_path, value):
+    config = _write_json(tmp_path / "config.json", _scenario_doc(bios_factor=value))
+    code, out, err = _run(capsys, "simulate", config, "--format", "json")
+    _assert_rejected(code, out, err, 2)
+    assert "'bios_factor' must be a number" in err
+
+
+@pytest.mark.parametrize("value", ["x", True])
+def test_emissions_rejects_embodied_figures_that_are_not_numbers(capsys, tmp_path, value):
+    embodied = _write_json(
+        tmp_path / "embodied.json", {"total_kgco2e": value, "service_lifetime_hours": 5e4}
+    )
+    code, out, err = _run(
+        capsys, "emissions", "--intensity", "50", "--power-kw", "1", "--hours", "1",
+        "--embodied", embodied,
+    )
+    _assert_rejected(code, out, err, 2)
+    assert "'total_kgco2e' must be a number" in err
+
+
+@pytest.mark.parametrize("value", [NAN, INF, "24", 2.7, 24.0, True])
+def test_synth_rejects_an_n_samples_that_is_not_an_integer(capsys, tmp_path, value):
+    doc = _recipe_doc()
+    doc["segments"][0]["n_samples"] = value
+    output = tmp_path / "out.csv"
+    code, out, err = _run(capsys, "synth", _write_json(tmp_path / "r.json", doc), "-o", str(output))
+    _assert_rejected(code, out, err, 2)
+    assert "'n_samples' must be an integer" in err
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("value", [5, None, ["2022-04-01T00:00:00Z"]])
+def test_synth_rejects_a_start_that_is_not_a_string(capsys, tmp_path, value):
+    recipe = _write_json(tmp_path / "recipe.json", {**_recipe_doc(), "start": value})
+    code, out, err = _run(capsys, "synth", recipe, "-o", str(tmp_path / "out.csv"))
+    _assert_rejected(code, out, err, 2)
+    assert "'start' must be a string" in err
+
+
+def test_synth_rejects_a_negative_seed(capsys, tmp_path):
+    recipe = _write_json(tmp_path / "recipe.json", {**_recipe_doc(), "seed": -1})
+    code, out, err = _run(capsys, "synth", recipe, "-o", str(tmp_path / "out.csv"))
+    _assert_one_error_line(code, out, err)
+    code, out, err = _run(
+        capsys, "synth", "builtin:recipe_bios_step.json", "-o", str(tmp_path / "out.csv"),
+        "--seed", "-1",
+    )
+    _assert_one_error_line(code, out, err)
+
+
+def test_synth_rejects_samples_closer_than_a_microsecond(capsys, tmp_path):
+    doc = _recipe_doc()
+    doc["segments"][0]["n_samples"] = 10**30
+    recipe = _write_json(tmp_path / "recipe.json", doc)
+    code, out, err = _run(capsys, "synth", recipe, "-o", str(tmp_path / "out.csv"))
+    _assert_one_error_line(code, out, err)
+    assert "less than 1 us apart" in err
