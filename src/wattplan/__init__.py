@@ -52,18 +52,33 @@ from .simulator import (
     run_scenario,
     sweep_threshold,
 )
-from .telemetry import (
-    Changepoint,
-    InterventionReport,
-    PowerSeries,
-    SeriesSegment,
-    WindowStats,
-    detect_changepoint,
-    intervention_impact,
-    parse_series,
-    synth_series,
-    window_mean,
-    write_series,
+
+# telemetry is the one module that needs numpy; it loads on first use of one
+# of its names, so that the subcommands without a series start without numpy
+_TELEMETRY_NAMES = (
+    "Changepoint",
+    "InterventionReport",
+    "PowerSeries",
+    "SeriesSegment",
+    "WindowStats",
+    "detect_changepoint",
+    "intervention_impact",
+    "parse_series",
+    "synth_series",
+    "window_mean",
+    "write_series",
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _TELEMETRY_NAMES:
+        from . import telemetry
+
+        return getattr(telemetry, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_TELEMETRY_NAMES))

@@ -4,12 +4,16 @@ Subcommands: power, policy, telemetry, emissions, simulate, synth. Output is
 a plain-text table by default or JSON with --format json; power is printed in
 kW to 1 decimal, ratios to 4 decimals and percentages to 1 decimal. Exit
 codes: 0 success, 1 validation/domain error, 2 I/O or parse error.
+
+Only telemetry and synth import the telemetry module, and with it numpy; the
+other subcommands start without it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import timedelta
 from pathlib import Path
@@ -34,27 +38,26 @@ from .simulator import (
     run_scenario,
     sweep_threshold,
 )
-from .telemetry import (
-    SeriesSegment,
-    detect_changepoint,
-    intervention_impact,
-    parse_series,
-    synth_series,
-    write_series,
-)
 from .timestamps import format_timestamp, parse_timestamp
 
 
+def _finite(value: float) -> float:
+    """value, if finite; a table shows no inf or nan, as JSON output does not."""
+    if not math.isfinite(value):
+        raise DomainError(f"a result is not finite ({value})")
+    return value
+
+
 def _kw(value: float) -> str:
-    return f"{value:.1f}"
+    return f"{_finite(value):.1f}"
 
 
 def _ratio(value: float) -> str:
-    return f"{value:.4f}"
+    return f"{_finite(value):.4f}"
 
 
 def _pct(fraction: float) -> str:
-    return f"{100.0 * fraction:.1f}%"
+    return f"{100.0 * _finite(fraction):.1f}%"
 
 
 def _emit_json(doc: dict) -> None:
@@ -184,6 +187,8 @@ def _window_doc(stats) -> dict:
 
 
 def _cmd_telemetry(args: argparse.Namespace) -> int:
+    from .telemetry import detect_changepoint, intervention_impact, parse_series
+
     try:
         gap = timedelta(hours=args.gap)
     except (ValueError, OverflowError):
@@ -361,6 +366,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _load_recipe(path: Path) -> tuple:
+    from .telemetry import SeriesSegment
+
     where = str(path)
     doc = check_fields(read_json(path), where, ("start", "seed", "segments"))
     start = parse_timestamp(string(doc, "start", where))
@@ -383,6 +390,8 @@ def _load_recipe(path: Path) -> tuple:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .telemetry import synth_series, write_series
+
     start, seed, segments = _load_recipe(resolve_input_path(args.recipe_file))
     if args.seed is not None:
         seed = args.seed

@@ -1,5 +1,6 @@
-"""Access to the data files bundled with the package, and the JSON input
-boundary every loader goes through.
+"""Access to the data files bundled with the package, the JSON input
+boundary every loader goes through, and the reader every CSV loader opens its
+file with.
 
 The boundary checks JSON type and shape only: a value of the wrong type, a
 missing or unknown field, or a file that is not JSON raises DataFormatError.
@@ -9,7 +10,9 @@ which raises DomainError.
 
 from __future__ import annotations
 
+import csv
 import json
+from contextlib import contextmanager
 from importlib.resources import files
 from pathlib import Path
 
@@ -46,6 +49,17 @@ def read_json(path: str | Path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
+
+
+@contextmanager
+def csv_rows(path: str | Path):
+    """A csv.reader over a UTF-8 file; a byte that is not UTF-8, met while the
+    rows are read, raises DataFormatError naming the file."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        try:
+            yield csv.reader(handle)
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number", float: "number"}

@@ -3,7 +3,6 @@ amortized scope-3 embodied emissions, plus output-efficiency metrics."""
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -11,7 +10,7 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
 
-from .datafiles import check_fields, number
+from .datafiles import check_fields, csv_rows, number
 from .errors import DataFormatError, DomainError
 from .timestamps import format_timestamp, parse_timestamp
 
@@ -123,8 +122,7 @@ class CarbonIntensityProfile:
     def from_csv(cls, path: str | Path) -> "CarbonIntensityProfile":
         """Load a series profile from CSV with header timestamp,intensity_g_per_kwh."""
         points: list[tuple[datetime, float]] = []
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
+        with csv_rows(path) as reader:
             header = next(reader, None)
             if header != ["timestamp", "intensity_g_per_kwh"]:
                 raise DataFormatError(

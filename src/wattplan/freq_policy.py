@@ -3,12 +3,12 @@ revert-threshold rule that picks each application's default CPU frequency."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+from .datafiles import csv_rows
 from .errors import DataFormatError, DomainError
 
 
@@ -196,8 +196,7 @@ def load_benchmark_table(path: str | Path) -> list[AppBenchmark]:
     rejected.
     """
     records: list[AppBenchmark] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    with csv_rows(path) as reader:
         header = next(reader, None)
         if header != _HEADER:
             raise DataFormatError(

@@ -5,7 +5,6 @@ redistributable)."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -17,6 +16,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .datafiles import csv_rows
 from .errors import DataFormatError, DomainError
 from .timestamps import format_timestamp, parse_timestamp
 
@@ -279,8 +279,7 @@ def _parse_rows(path: str | Path) -> PowerSeries:
     """Row-by-row parse of any file parse_series accepts; the source of every error."""
     timestamps: list[datetime] = []
     values: list[float] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    with csv_rows(path) as reader:
         header = next(reader, None)
         if header != ["timestamp", "power_kw"]:
             raise DataFormatError(f"{path}: expected header 'timestamp,power_kw', got {header!r}")

@@ -1,10 +1,15 @@
 import hashlib
+import importlib
 import json
+import os
+import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
 
+import wattplan
 from wattplan.cli import main
 from wattplan.datafiles import data_path
 from wattplan.telemetry import synth_series, write_series
@@ -538,3 +543,99 @@ def test_synth_rejects_samples_closer_than_a_microsecond(capsys, tmp_path):
     code, out, err = _run(capsys, "synth", recipe, "-o", str(tmp_path / "out.csv"))
     _assert_one_error_line(code, out, err)
     assert "less than 1 us apart" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["power", "MODEL", "-u", "1"],
+        ["simulate", "SCENARIO"],
+        ["emissions", "--intensity", "1e308", "--power-kw", "2530", "--hours", "24"],
+    ],
+    ids=["power", "simulate", "emissions"],
+)
+def test_table_rejects_a_result_past_the_float_range(capsys, tmp_path, argv):
+    # finite inputs whose total power, or whose emissions, overflow to inf
+    doc = _model_doc()
+    doc["components"][0].update(idle_kw_per_unit=1e308, loaded_kw_per_unit=1e308)
+    files = {
+        "MODEL": _write_json(tmp_path / "model.json", doc),
+        "SCENARIO": _write_json(
+            tmp_path / "scenario.json", _scenario_doc(carbon={"constant_g_per_kwh": 1e308})
+        ),
+    }
+    code, out, err = _run(capsys, *[files.get(arg, arg) for arg in argv])
+    _assert_one_error_line(code, out, err)
+    assert err == "error: a result is not finite (inf)\n"
+
+
+@pytest.mark.parametrize(
+    "argv,name,text",
+    [
+        (["policy", "FILE"], "table.csv",
+         "app_name,nodes,intervention,perf_ratio,energy_ratio\n"
+         "CAS?TEP,4,freq_cap_2000,0.9,0.9\n"),
+        (["emissions", "--profile", "FILE", "--power-kw", "1", "--hours", "1"], "profile.csv",
+         "timestamp,intensity_g_per_kwh\n2022-01-01T00:00:00Z,5?\n"),
+        (["telemetry", "FILE", "--detect"], "series.csv",
+         "timestamp,power_kw\n2022-01-01T00:00:00Z,5?\n2022-01-01T00:01:00Z,6\n"),
+    ],
+    ids=["policy", "emissions-profile", "telemetry"],
+)
+def test_csv_readers_reject_bytes_that_are_not_utf8(capsys, tmp_path, argv, name, text):
+    path = str(tmp_path / name)
+    # byte 0xff never occurs in UTF-8
+    Path(path).write_bytes(text.encode().replace(b"?", b"\xff"))
+    code, out, err = _run(capsys, *[path if arg == "FILE" else arg for arg in argv])
+    _assert_rejected(code, out, err, 2)
+    assert err.startswith(f"error: {path}: not UTF-8 text: ")
+
+
+# -- numpy stays out of the subcommands that use no series ---------------------
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(wattplan.__file__).resolve().parents[1]
+# the planning cycle's calls that neither read nor write a series
+NUMPY_FREE_CALLS = [
+    "power", "policy", "simulate", "simulate_sweep", "emissions_intensity", "emissions_profile",
+]
+
+
+def _child(code, *argv, cwd=None):
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, cwd=cwd, capture_output=True, timeout=120,
+    )
+
+
+@pytest.fixture(scope="module")
+def planning_cycle(tmp_path_factory):
+    """The benchmark's CLI cycle by label, and a directory holding its inputs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
+    work = tmp_path_factory.mktemp("planning")
+    workloads.write_cli_inputs(work)
+    return dict(workloads.CLI_CYCLE), work
+
+
+def test_importing_the_package_and_the_cli_leaves_numpy_out():
+    proc = _child(
+        "import sys, wattplan; assert 'numpy' not in sys.modules; "
+        "import wattplan.cli; assert 'numpy' not in sys.modules"
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("label", NUMPY_FREE_CALLS)
+def test_planning_calls_run_without_numpy(planning_cycle, label):
+    cycle, work = planning_cycle
+    # numpy set to None in sys.modules makes any import of it fail
+    proc = _child(
+        "import sys; sys.modules['numpy'] = None; "
+        "from wattplan.cli import entrypoint; entrypoint()",
+        *cycle[label], cwd=work,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
+    assert proc.stdout == (PERFBENCH / "golden" / f"{label}.out").read_bytes()
