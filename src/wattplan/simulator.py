@@ -19,8 +19,10 @@ from .emissions import (
 from .errors import DataFormatError, DomainError
 from .freq_policy import (
     AppBenchmark,
+    Intervention,
     PolicyDecision,
     PolicyRule,
+    derived_ratios,
     fleet_ratios,
     load_benchmark_table,
 )
@@ -124,7 +126,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     policy's fleet power ratio then scales only its dynamic (loaded minus
     idle) draw, so no policy can push compute power below the idle floor.
     Scope-3 emissions are reported as zero, with a flag, when no embodied
-    emissions are configured.
+    emissions are configured. Finite inputs whose energy or emissions pass the
+    float range raise a DomainError that names them.
     """
     if config.model.compute_component is None:
         raise DomainError(f"model {config.model.name!r} has no compute component to scale")
@@ -134,6 +137,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     model = apply_power_factor(model, compute, fleet.fleet_power_ratio, FactorMode.DYNAMIC_ONLY)
     breakdown = system_power(model, config.utilization)
     energy_kwh = breakdown.total_kw * config.duration_hours
+    if not math.isfinite(energy_kwh):
+        raise _overflow(config, breakdown.total_kw)
     scope3_unset = config.embodied is None
     # a zero-total embodied stand-in yields exactly scope3 = 0 through the
     # same accounting path
@@ -141,6 +146,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     emissions = lifetime_emissions(
         breakdown.total_kw, config.duration_hours, config.carbon, embodied
     )
+    if not math.isfinite(emissions.total_kg):
+        raise _overflow(config, breakdown.total_kw)
     return ScenarioResult(
         name=config.name,
         mean_power_kw=breakdown.total_kw,
@@ -152,6 +159,26 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         decisions=fleet.decisions,
         duration_hours=config.duration_hours,
     )
+
+
+def _overflow(config: ScenarioConfig, mean_power_kw: float) -> DomainError:
+    """The error for finite inputs whose energy or emissions pass the float range."""
+    carbon = config.carbon
+    if carbon.constant_g_per_kwh is not None:
+        intensity = f"{carbon.constant_g_per_kwh} g/kWh"
+    else:
+        intensity = f"up to {max(value for _, value in carbon.series)} g/kWh"
+    message = (
+        f"scenario {config.name!r}: energy or emissions exceed the float range: "
+        f"{config.duration_hours} h at a mean {mean_power_kw} kW, "
+        f"carbon intensity {intensity}"
+    )
+    if config.embodied is not None:
+        message += (
+            f", embodied {config.embodied.total_kgco2e} kg over "
+            f"{config.embodied.service_lifetime_hours} h"
+        )
+    return DomainError(message)
 
 
 def compare_scenarios(a: ScenarioResult, b: ScenarioResult) -> ScenarioDeltas:
@@ -172,15 +199,29 @@ def compare_scenarios(a: ScenarioResult, b: ScenarioResult) -> ScenarioDeltas:
 
 
 def sweep_threshold(config: ScenarioConfig, thresholds) -> list[tuple[float, ScenarioResult]]:
-    """Run the scenario once per revert threshold, ordered by threshold."""
+    """The scenario at each revert threshold, ordered by threshold.
+
+    The rule acts only through `perf_loss > threshold` on each freq-cap row,
+    and a result does not record the threshold, so the scenario runs once per
+    distinct set of those tests: thresholds that share a decision set return
+    the same frozen `ScenarioResult` object.
+    """
     thresholds = list(thresholds)
     for threshold in thresholds:
         if not 0.0 <= threshold <= 1.0:
             raise DomainError(f"threshold must be within [0, 1], got {threshold}")
+    losses = [
+        derived_ratios(b).perf_loss
+        for b in config.benchmarks
+        if b.intervention is Intervention.FREQ_CAP_2000
+    ]
+    by_decisions: dict[tuple[bool, ...], ScenarioResult] = {}
     results = []
     for threshold in sorted(thresholds):
-        run = run_scenario(replace(config, rule=PolicyRule(threshold)))
-        results.append((threshold, run))
+        key = tuple(loss > threshold for loss in losses)
+        if key not in by_decisions:
+            by_decisions[key] = run_scenario(replace(config, rule=PolicyRule(threshold)))
+        results.append((threshold, by_decisions[key]))
     return results
 
 

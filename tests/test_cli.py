@@ -545,28 +545,57 @@ def test_synth_rejects_samples_closer_than_a_microsecond(capsys, tmp_path):
     assert "less than 1 us apart" in err
 
 
+_OVERFLOW_MESSAGE = (
+    "error: scenario 'scenario': energy or emissions exceed the float range: "
+    "24.0 h at a mean 3048.1343174880003 kW, carbon intensity 1e+308 g/kWh\n"
+)
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv,message",
     [
-        ["power", "MODEL", "-u", "1"],
-        ["simulate", "SCENARIO"],
-        ["emissions", "--intensity", "1e308", "--power-kw", "2530", "--hours", "24"],
+        (["power", "MODEL", "-u", "1"], "error: a result is not finite (inf)\n"),
+        (["simulate", "SCENARIO"], _OVERFLOW_MESSAGE),
+        (["emissions", "--intensity", "1e308", "--power-kw", "2530", "--hours", "24"],
+         "error: a result is not finite (inf)\n"),
     ],
     ids=["power", "simulate", "emissions"],
 )
-def test_table_rejects_a_result_past_the_float_range(capsys, tmp_path, argv):
+def test_table_rejects_a_result_past_the_float_range(capsys, tmp_path, argv, message):
     # finite inputs whose total power, or whose emissions, overflow to inf
     doc = _model_doc()
     doc["components"][0].update(idle_kw_per_unit=1e308, loaded_kw_per_unit=1e308)
     files = {
         "MODEL": _write_json(tmp_path / "model.json", doc),
         "SCENARIO": _write_json(
-            tmp_path / "scenario.json", _scenario_doc(carbon={"constant_g_per_kwh": 1e308})
+            tmp_path / "scenario.json",
+            _scenario_doc(name="scenario", carbon={"constant_g_per_kwh": 1e308}),
         ),
     }
     code, out, err = _run(capsys, *[files.get(arg, arg) for arg in argv])
     _assert_one_error_line(code, out, err)
-    assert err == "error: a result is not finite (inf)\n"
+    assert err == message
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("sweep", [[], ["--sweep", "0,0.1"]], ids=["run", "sweep"])
+def test_simulate_emissions_overflow_names_its_inputs(capsys, tmp_path, fmt, sweep):
+    # the sweep table has no emissions column, so only the scenario run can see this
+    doc = _scenario_doc(carbon={"constant_g_per_kwh": 1e308})
+    scenario = _write_json(tmp_path / "scenario.json", doc)
+    code, out, err = _run(capsys, "simulate", scenario, *sweep, "--format", fmt)
+    _assert_one_error_line(code, out, err)
+    assert "energy or emissions exceed the float range" in err
+    assert f"{doc['duration_hours']} h at a mean " in err
+    assert "carbon intensity 1e+308 g/kWh" in err
+
+
+def test_simulate_scope3_overflow_names_the_embodied_total(capsys, tmp_path):
+    embodied = {"total_kgco2e": 1e308, "service_lifetime_hours": 1.0}
+    scenario = _write_json(tmp_path / "scenario.json", _scenario_doc(embodied=embodied))
+    code, out, err = _run(capsys, "simulate", scenario, "--sweep", "0,0.1")
+    _assert_one_error_line(code, out, err)
+    assert err.endswith(", embodied 1e+308 kg over 1.0 h\n")
 
 
 @pytest.mark.parametrize(

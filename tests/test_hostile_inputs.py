@@ -3,12 +3,14 @@
 Each JSON input of the CLI gets a document with one field changed, dropped or
 added. The command must either exit 0 with strict JSON on stdout, or exit 1
 or 2 with nothing on stdout and one `error:` line on stderr: no traceback, no
-warning and no NaN or Infinity.
+warning and no NaN or Infinity. A scenario's threshold sweep must also end the
+same way in table format as in JSON.
 """
 
 import copy
 import io
 import json
+import re
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -111,6 +113,30 @@ def _run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _run_mutated(mutation, *tails):
+    """Write the mutated input once and run its command with each argument tail."""
+    name, op, path, value = mutation
+    reference, command = INPUTS[name]
+    with tempfile.TemporaryDirectory() as scratch:
+        file = Path(scratch) / "input.json"
+        # json.dumps writes nan and inf as the NaN and Infinity literals
+        file.write_text(json.dumps(_apply(reference, op, path, value)))
+        argv = [
+            {"FILE": str(file), "OUT": str(Path(scratch) / "out.csv")}.get(arg, arg)
+            for arg in command
+        ]
+        return [_run_cli(argv + tail) for tail in tails]
+
+
+def _assert_clean_exit(code, out, err):
+    if code == 0:
+        assert err == ""
+    else:
+        assert code in (1, 2)
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
 @settings(max_examples=400, deadline=None)
 @given(mutation=st.sampled_from(sorted(INPUTS)).flatmap(_mutations))
 # inputs that printed a traceback or NaN before the boundary was shared
@@ -122,21 +148,21 @@ def _run_cli(argv):
 @example(mutation=("weights", "set", (_APPS[0],), NAN))
 @example(mutation=("recipe", "set", ("segments", 0, "n_samples"), 10**30))
 def test_hostile_json_inputs_exit_cleanly(mutation):
-    name, op, path, value = mutation
-    reference, command = INPUTS[name]
-    with tempfile.TemporaryDirectory() as scratch:
-        file = Path(scratch) / "input.json"
-        # json.dumps writes nan and inf as the NaN and Infinity literals
-        file.write_text(json.dumps(_apply(reference, op, path, value)))
-        argv = [
-            {"FILE": str(file), "OUT": str(Path(scratch) / "out.csv")}.get(arg, arg)
-            for arg in command
-        ]
-        code, out, err = _run_cli(argv + ["--format", "json"])
+    [(code, out, err)] = _run_mutated(mutation, ["--format", "json"])
+    _assert_clean_exit(code, out, err)
     if code == 0:
-        assert err == ""
         json.loads(out, parse_constant=_reject_constant)
-    else:
-        assert code in (1, 2)
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutation=_mutations("scenario"))
+# emissions overflowed to inf unseen: the sweep table has no emissions column
+@example(mutation=("scenario", "set", ("carbon", "constant_g_per_kwh"), 1e308))
+def test_hostile_scenario_sweep_table_ends_as_json_does(mutation):
+    sweep = ["--sweep", "0,0.1"]
+    table, as_json = _run_mutated(mutation, sweep, sweep + ["--format", "json"])
+    code, out, err = table
+    _assert_clean_exit(code, out, err)
+    if code == 0:
+        assert not re.search(r"\b(inf|nan)\b", out, re.IGNORECASE), out
+    assert (code, err) == (as_json[0], as_json[2])

@@ -2,8 +2,12 @@ import json
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from wattplan import simulator
 from wattplan.datafiles import data_path
 from wattplan.emissions import CarbonIntensityProfile, EmbodiedEmissions
 from wattplan.errors import DataFormatError, DomainError
@@ -191,6 +195,113 @@ def test_sweep_is_ordered_and_monotone(stacked_config):
 def test_sweep_rejects_out_of_range_threshold(stacked_config):
     with pytest.raises(DomainError):
         sweep_threshold(stacked_config, [0.5, 1.2])
+
+
+def _sweep_oracle(config, thresholds):
+    """Reference sweep: the scenario run afresh at every threshold."""
+    thresholds = list(thresholds)
+    for threshold in thresholds:
+        if not 0.0 <= threshold <= 1.0:
+            raise DomainError(f"threshold must be within [0, 1], got {threshold}")
+    results = []
+    for threshold in sorted(thresholds):
+        run = run_scenario(replace(config, rule=PolicyRule(threshold)))
+        results.append((threshold, run))
+    return results
+
+
+def _outcome(sweep, config, thresholds):
+    try:
+        return sweep(config, thresholds)
+    except DomainError as exc:
+        return exc.args
+
+
+_FREQ, _BIOS = Intervention.FREQ_CAP_2000, Intervention.BIOS_DETERMINISM
+
+
+@st.composite
+def _sweep_cases(draw):
+    """(benchmarks, weights, thresholds) over a random freq-cap table.
+
+    Apps may carry a BIOS row too, unweighted apps may carry only one, and
+    weights may be zero. Thresholds come unsorted, repeated and sometimes
+    exactly at an app's perf loss. Rarely the table is one `run_scenario`
+    rejects: a weighted app with only a BIOS row, or a second freq-cap row.
+    """
+    ratio = st.floats(0.05, 1.5)
+    benchmarks, weights = [], {}
+    for i in range(draw(st.integers(1, 5))):
+        app = f"app{i}"
+        kind = draw(st.sampled_from(["freq", "freq+bios", "bios"]))
+        if kind != "bios":
+            benchmarks.append(AppBenchmark(app, 1, _FREQ, draw(ratio), draw(ratio)))
+            weights[app] = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.01, 1.0))
+        if kind != "freq":
+            benchmarks.append(AppBenchmark(app, 1, _BIOS, draw(ratio), draw(ratio)))
+    if draw(st.integers(0, 9)) == 0:
+        if draw(st.booleans()) and any(b.intervention is _BIOS for b in benchmarks):
+            bios_only = next(b.app_name for b in benchmarks if b.intervention is _BIOS)
+            benchmarks = [
+                b for b in benchmarks if b.app_name != bios_only or b.intervention is _BIOS
+            ]
+            weights[bios_only] = draw(st.floats(0.01, 1.0))
+        elif weights:
+            benchmarks.append(AppBenchmark(next(iter(weights)), 1, _FREQ, draw(ratio), 1.0))
+    if not weights or sum(weights.values()) == 0:
+        weights[benchmarks[0].app_name] = 1.0
+    total = sum(weights.values())
+    weights = {app: weight / total for app, weight in weights.items()}
+    breaks = [1.0 - b.perf_ratio for b in benchmarks if 0.0 <= 1.0 - b.perf_ratio <= 1.0]
+    point = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0] + breaks)
+    thresholds = draw(st.lists(point, max_size=12))
+    if thresholds:
+        thresholds += draw(st.lists(st.sampled_from(thresholds), max_size=4))
+    return tuple(benchmarks), weights, draw(st.permutations(thresholds))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_sweep_cases())
+# thresholds exactly at each kept app's perf loss (strict `>`), duplicated and
+# unsorted, with a zero-weight app and an unweighted BIOS-only app
+@example(
+    case=(
+        (
+            AppBenchmark("a", 1, _FREQ, 0.9, 0.8),
+            AppBenchmark("b", 1, _FREQ, 0.75, 0.9),
+            AppBenchmark("z", 1, _FREQ, 0.6, 0.7),
+            AppBenchmark("c", 1, _BIOS, 0.95, 0.9),
+        ),
+        {"a": 0.5, "b": 0.5, "z": 0.0},
+        [1.0 - 0.75, 0.3, 1.0 - 0.9, 1.0 - 0.75, 0.0, 1.0 - 0.9],
+    )
+)
+def test_sweep_equals_the_per_threshold_oracle(case):
+    benchmarks, weights, thresholds = case
+    config = _tiny_config(benchmarks=benchmarks, mix=JobMix(weights))
+    assert _outcome(sweep_threshold, config, thresholds) == _outcome(
+        _sweep_oracle, config, thresholds
+    )
+
+
+def test_sweep_runs_the_scenario_once_per_decision_set(monkeypatch, stacked_config):
+    calls = []
+
+    def counting(config):
+        calls.append(config.rule.perf_loss_threshold)
+        return run_scenario(config)
+
+    monkeypatch.setattr(simulator, "run_scenario", counting)
+    runs = sweep_threshold(stacked_config, np.linspace(0.0, 1.0, 1001))
+    by_set = {}
+    for _, result in runs:
+        key = tuple(d.reverted for d in result.decisions)
+        assert by_set.setdefault(key, result) is result
+    assert len(calls) == len(by_set) == 8
+    calls.clear()
+    with pytest.raises(DomainError, match="threshold"):
+        sweep_threshold(stacked_config, [0.0, 0.5, 1.2])
+    assert calls == []
 
 
 def test_job_mix_validation():
