@@ -21,6 +21,7 @@ from .freq_policy import (
     FleetRatios,
     FrequencySetting,
     Intervention,
+    JobMix,
     PolicyDecision,
     PolicyRule,
     derived_ratios,
@@ -37,13 +38,11 @@ from .power_model import (
     apply_power_factor,
     component_power,
     load_model,
-    reference_model_archer2,
     save_model,
     system_power,
 )
 from .simulator import (
     BIOS_DETERMINISM_POWER_FACTOR,
-    JobMix,
     ScenarioConfig,
     ScenarioDeltas,
     ScenarioResult,

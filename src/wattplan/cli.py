@@ -21,23 +21,15 @@ from pathlib import Path
 from .datafiles import check_fields, integer, number, read_json, resolve_input_path, string
 from .emissions import (
     CarbonIntensityProfile,
-    EmbodiedEmissions,
-    EmissionsBreakdown,
     classify_scenario,
     embodied_from_dict,
     lifetime_emissions,
     recommended_objective,
 )
 from .errors import DataFormatError, DomainError
-from .freq_policy import FleetRatios, PolicyRule, fleet_ratios, load_benchmark_table
+from .freq_policy import FleetRatios, JobMix, PolicyRule, fleet_ratios, load_benchmark_table
 from .power_model import FactorMode, apply_power_factor, load_model, system_power
-from .simulator import (
-    JobMix,
-    load_scenario_config,
-    result_to_dict,
-    run_scenario,
-    sweep_threshold,
-)
+from .simulator import load_scenario_config, result_to_dict, run_scenario, sweep_threshold
 from .timestamps import format_timestamp, parse_timestamp
 
 
@@ -238,27 +230,19 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
 def _cmd_emissions(args: argparse.Namespace) -> int:
     if args.intensity is not None:
         profile = CarbonIntensityProfile.constant(args.intensity)
-        anchor = None
     else:
         profile = CarbonIntensityProfile.from_csv(resolve_input_path(args.profile))
-        anchor = profile.start_time()
     embodied = None
     if args.embodied:
         path = resolve_input_path(args.embodied)
         embodied = embodied_from_dict(read_json(path), str(path))
     energy_kwh = args.power_kw * args.hours
-
-    if embodied is not None:
-        breakdown = lifetime_emissions(args.power_kw, args.hours, profile, embodied, start=anchor)
-    else:
-        scope2 = lifetime_emissions(
-            args.power_kw, args.hours, profile, EmbodiedEmissions(0.0, 1.0), start=anchor
-        ).scope2_kg
-        breakdown = EmissionsBreakdown.of_parts(scope2, 0.0)
+    breakdown = lifetime_emissions(args.power_kw, args.hours, profile, embodied)
 
     if profile.is_constant:
         mean_intensity = profile.constant_g_per_kwh
     else:
+        anchor = profile.start_time()
         mean_intensity = profile.mean_intensity(
             anchor, anchor + timedelta(hours=args.hours if args.hours > 0 else 1.0)
         )

@@ -241,16 +241,11 @@ def scope2_emissions(
     Each item is ((start, end), energy_kwh); the interval's intensity is the
     time-weighted average of the profile over [start, end).
     """
-    if profile.is_constant:
-        constant = profile.constant_g_per_kwh
-        intensity_over = lambda start, end: constant
-    else:
-        intensity_over = profile.mean_intensity
     total_g = 0.0
     for (start, end), energy_kwh in energy_kwh_by_interval:
         if not (math.isfinite(energy_kwh) and energy_kwh >= 0):
             raise DomainError(f"interval energy must be >= 0 kWh, got {energy_kwh}")
-        total_g += energy_kwh * intensity_over(start, end)
+        total_g += energy_kwh * profile.mean_intensity(start, end)
     return total_g / 1000.0
 
 
@@ -274,19 +269,13 @@ def lifetime_emissions(
     """Scope-2 plus amortized scope-3 emissions for a run at constant mean power.
 
     For a series profile the energy is anchored at `start` (default: the start
-    of the series). Embodied emissions must be provided; callers that want a
-    scope-2-only figure should say so explicitly rather than rely on a silent
-    zero.
+    of the series). With `embodied=None` the result is scope-2 only: scope-3
+    is exactly 0.0 and the total equals scope-2.
     """
     if not (math.isfinite(mean_power_kw) and mean_power_kw >= 0):
         raise DomainError(f"mean power must be >= 0 kW, got {mean_power_kw}")
     if not (math.isfinite(duration_hours) and duration_hours >= 0):
         raise DomainError(f"duration must be >= 0 hours, got {duration_hours}")
-    if embodied is None:
-        raise DomainError(
-            "embodied emissions are not set; provide an EmbodiedEmissions value "
-            "to compute scope-3 totals"
-        )
     anchor = start if start is not None else (profile.start_time() or _EPOCH)
     try:
         interval = (anchor, anchor + timedelta(hours=duration_hours))
@@ -298,9 +287,12 @@ def lifetime_emissions(
     energy_kwh = mean_power_kw * duration_hours
     if energy_kwh == 0 or duration_hours == 0:
         scope2 = 0.0
+    elif interval[1] == interval[0]:
+        # shorter than datetime's 1 µs step: the intensity at the anchor holds
+        scope2 = energy_kwh * profile.intensity_at(anchor) / 1000.0
     else:
         scope2 = scope2_emissions([(interval, energy_kwh)], profile)
-    scope3 = amortized_scope3(embodied, duration_hours)
+    scope3 = 0.0 if embodied is None else amortized_scope3(embodied, duration_hours)
     return EmissionsBreakdown.of_parts(scope2, scope3)
 
 

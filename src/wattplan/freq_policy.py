@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .datafiles import csv_rows
+from .datafiles import check_object, csv_rows, number
 from .errors import DataFormatError, DomainError
 
 
@@ -66,6 +66,36 @@ class PolicyRule:
             raise DomainError(
                 f"perf_loss_threshold must be within [0, 1], got {self.perf_loss_threshold}"
             )
+
+
+@dataclass(frozen=True)
+class JobMix:
+    """Fraction of compute node-hours spent in each application."""
+
+    weights: dict[str, float]
+
+    def __post_init__(self) -> None:
+        total = 0.0
+        for app, weight in self.weights.items():
+            if not (math.isfinite(weight) and weight >= 0):
+                raise DomainError(f"mix weight for {app!r} must be >= 0, got {weight}")
+            total += weight
+        if abs(total - 1.0) > 1e-9:
+            raise DomainError(f"mix weights must sum to 1 within 1e-9, got {total!r}")
+
+    @classmethod
+    def equal(cls, apps) -> "JobMix":
+        apps = list(apps)
+        if not apps:
+            raise DomainError("an equal mix needs at least one app")
+        share = 1.0 / len(apps)
+        return cls(weights={app: share for app in apps})
+
+    @classmethod
+    def from_dict(cls, doc, where: str) -> "JobMix":
+        """A mix from a JSON object of app name to weight."""
+        check_object(doc, where)
+        return cls(weights={app: number(doc, app, where) for app in doc})
 
 
 @dataclass(frozen=True)
@@ -135,38 +165,30 @@ def fleet_ratios(
 
     Reverted applications run at the original operating point and contribute
     ratios of exactly 1.0; kept applications contribute their power_ratio and
-    perf_ratio. Weights must be non-negative and sum to 1.
+    perf_ratio. The weights must make a valid JobMix over benchmarked apps.
     """
-    benchmarks = list(benchmarks)
-    by_app: dict[str, AppBenchmark] = {}
+    # each app's freq-cap row, else its first row (which recommend() rejects),
+    # in the order the apps first appear
+    rows: dict[str, AppBenchmark] = {}
     for bench in benchmarks:
+        app = bench.app_name
         if bench.intervention is not Intervention.FREQ_CAP_2000:
-            continue
-        if bench.app_name in by_app:
-            raise DomainError(f"duplicate benchmark for app {bench.app_name!r}")
-        by_app[bench.app_name] = bench
-    all_apps = {b.app_name for b in benchmarks}
-
-    for app, weight in weights.items():
-        if not (math.isfinite(weight) and weight >= 0):
-            raise DomainError(f"weight for {app!r} must be >= 0, got {weight}")
-        if app not in all_apps:
+            rows.setdefault(app, bench)
+        elif app in rows and rows[app].intervention is Intervention.FREQ_CAP_2000:
+            raise DomainError(f"duplicate benchmark for app {app!r}")
+        else:
+            rows[app] = bench
+    JobMix(weights)  # raises unless the weights are a valid mix
+    for app in weights:
+        if app not in rows:
             raise DomainError(f"unknown app in weights: {app!r}")
-    total = sum(weights.values())
-    if abs(total - 1.0) > 1e-9:
-        raise DomainError(f"weights must sum to 1 within 1e-9, got {total!r}")
 
     fleet_power = 0.0
     fleet_throughput = 0.0
     decisions: list[PolicyDecision] = []
-    decided: set[str] = set()
-    for bench in benchmarks:
-        app = bench.app_name
-        if app not in weights or app in decided:
+    for app, source in rows.items():
+        if app not in weights:
             continue
-        decided.add(app)
-        # prefer the app's freq-cap row; recommend() rejects any other kind
-        source = by_app.get(app, bench)
         decision = recommend(source, rule)
         decisions.append(decision)
         weight = weights[app]

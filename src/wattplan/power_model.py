@@ -155,27 +155,6 @@ def apply_power_factor(
     return replace(model, components=components)
 
 
-def reference_model_archer2() -> SystemModel:
-    """The bundled ARCHER2 system model.
-
-    Compute nodes dominate the draw; switches, coolant distribution units and
-    file systems hold steady regardless of load. Cabinet overheads carry a
-    modest load dependence so the idle and loaded system totals both match
-    the measured figures (about 1,800 kW and 3,500 kW).
-    """
-    return SystemModel(
-        name="archer2",
-        compute_component="compute_nodes",
-        components=(
-            ComponentSpec("compute_nodes", 5860, 0.23, 0.51, LoadResponse.LINEAR),
-            ComponentSpec("interconnect_switches", 768, 0.25, 0.25, LoadResponse.CONSTANT),
-            ComponentSpec("cabinet_overheads", 23, 4.5, 9.0, LoadResponse.LINEAR),
-            ComponentSpec("coolant_distribution_units", 6, 16.0, 16.0, LoadResponse.CONSTANT),
-            ComponentSpec("file_systems", 5, 8.0, 8.0, LoadResponse.CONSTANT),
-        ),
-    )
-
-
 _MODEL_FIELDS = ("name", "components", "compute_component")
 _COMPONENT_FIELDS = ("name", "count", "idle_kw_per_unit", "loaded_kw_per_unit", "load_response")
 

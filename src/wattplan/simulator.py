@@ -20,6 +20,7 @@ from .errors import DataFormatError, DomainError
 from .freq_policy import (
     AppBenchmark,
     Intervention,
+    JobMix,
     PolicyDecision,
     PolicyRule,
     derived_ratios,
@@ -40,36 +41,6 @@ from .power_model import (
 # is 5.49% of the modelled system at utilization 0.92 (the telemetry recipes'
 # cabinet-level step is 6.5%).
 BIOS_DETERMINISM_POWER_FACTOR = 0.935
-
-
-@dataclass(frozen=True)
-class JobMix:
-    """Fraction of compute node-hours spent in each application."""
-
-    weights: dict[str, float]
-
-    def __post_init__(self) -> None:
-        total = 0.0
-        for app, weight in self.weights.items():
-            if not (math.isfinite(weight) and weight >= 0):
-                raise DomainError(f"mix weight for {app!r} must be >= 0, got {weight}")
-            total += weight
-        if abs(total - 1.0) > 1e-9:
-            raise DomainError(f"mix weights must sum to 1 within 1e-9, got {total!r}")
-
-    @classmethod
-    def equal(cls, apps) -> "JobMix":
-        apps = list(apps)
-        if not apps:
-            raise DomainError("an equal mix needs at least one app")
-        share = 1.0 / len(apps)
-        return cls(weights={app: share for app in apps})
-
-    @classmethod
-    def from_dict(cls, doc, where: str) -> "JobMix":
-        """A mix from a JSON object of app name to weight."""
-        check_object(doc, where)
-        return cls(weights={app: number(doc, app, where) for app in doc})
 
 
 @dataclass(frozen=True)
@@ -139,12 +110,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     energy_kwh = breakdown.total_kw * config.duration_hours
     if not math.isfinite(energy_kwh):
         raise _overflow(config, breakdown.total_kw)
-    scope3_unset = config.embodied is None
-    # a zero-total embodied stand-in yields exactly scope3 = 0 through the
-    # same accounting path
-    embodied = config.embodied if config.embodied is not None else EmbodiedEmissions(0.0, 1.0)
     emissions = lifetime_emissions(
-        breakdown.total_kw, config.duration_hours, config.carbon, embodied
+        breakdown.total_kw, config.duration_hours, config.carbon, config.embodied
     )
     if not math.isfinite(emissions.total_kg):
         raise _overflow(config, breakdown.total_kw)
@@ -154,7 +121,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         breakdown=breakdown,
         energy_kwh=energy_kwh,
         emissions=emissions,
-        scope3_unset=scope3_unset,
+        scope3_unset=config.embodied is None,
         throughput_index=fleet.fleet_throughput_ratio,
         decisions=fleet.decisions,
         duration_hours=config.duration_hours,

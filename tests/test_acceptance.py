@@ -27,9 +27,9 @@ from wattplan.power_model import (
     ComponentSpec,
     LoadResponse,
     SystemModel,
+    load_model,
     model_from_dict,
     model_to_dict,
-    reference_model_archer2,
     system_power,
 )
 from wattplan.simulator import JobMix, ScenarioConfig, run_scenario, sweep_threshold
@@ -71,7 +71,7 @@ def test_criterion_01_reference_model_totals(capsys):
 
 def test_criterion_02_idle_fraction(capsys):
     started = time.perf_counter()
-    compute = reference_model_archer2().component("compute_nodes")
+    compute = load_model(data_path("archer2_system.json")).component("compute_nodes")
     ratio = compute.idle_kw_per_unit / compute.loaded_kw_per_unit
     elapsed = time.perf_counter() - started
     ok = ratio == pytest.approx(0.451, abs=5e-4) and 0.40 <= ratio <= 0.60 and elapsed < 1.0
@@ -209,7 +209,7 @@ def test_criterion_07_changepoint_recovery():
 
 def test_criterion_08_fleet_reproduction_band():
     started = time.perf_counter()
-    model = reference_model_archer2()
+    model = load_model(data_path("archer2_system.json"))
     benchmarks = tuple(load_benchmark_table(data_path("table4_freq.csv")))
     mix = JobMix.equal([b.app_name for b in benchmarks])
     common = dict(

@@ -108,6 +108,22 @@ def test_scope2_rejects_negative_energy():
                 scope2_emissions([((T0, T0 + _hours(1)), energy)], profile)
 
 
+_PROFILE_KINDS = {
+    "constant": CarbonIntensityProfile.constant(50.0),
+    "series": CarbonIntensityProfile.from_series([(T0, 50.0)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PROFILE_KINDS))
+@pytest.mark.parametrize(
+    "start,end", [(T0 + _hours(1), T0), (T0, T0)], ids=["reversed", "empty"]
+)
+def test_scope2_rejects_an_interval_that_does_not_end_after_it_starts(kind, start, end):
+    with pytest.raises(DomainError) as err:
+        scope2_emissions([((start, end), 5.0)], _PROFILE_KINDS[kind])
+    assert str(err.value) == f"interval end {end} must be after start {start}"
+
+
 def test_scope2_coverage_error_names_interval():
     profile = CarbonIntensityProfile.from_series([(T0, 10.0)])
     early = T0 - _hours(2)
@@ -448,9 +464,21 @@ def test_lifetime_emissions_rejects_non_finite(bad):
         lifetime_emissions(100.0, bad, profile, embodied)
 
 
-def test_lifetime_emissions_requires_embodied():
-    with pytest.raises(DomainError, match="embodied"):
-        lifetime_emissions(100.0, 1.0, CarbonIntensityProfile.constant(50.0), None)
+@pytest.mark.parametrize("kind", sorted(_PROFILE_KINDS))
+def test_lifetime_emissions_without_embodied_is_scope2_only(kind):
+    profile = _PROFILE_KINDS[kind]
+    breakdown = lifetime_emissions(100.0, 3.0, profile, None)
+    assert breakdown.scope3_kg == 0.0
+    assert breakdown.total_kg == breakdown.scope2_kg == 15.0
+    for embodied in (EmbodiedEmissions(0.0, 1.0), EmbodiedEmissions(1e6, 52560.0)):
+        assert lifetime_emissions(100.0, 3.0, profile, embodied).scope2_kg == breakdown.scope2_kg
+
+
+@pytest.mark.parametrize("kind", sorted(_PROFILE_KINDS))
+def test_lifetime_emissions_shorter_than_a_microsecond_uses_the_anchor_intensity(kind):
+    # the interval rounds to zero length, which scope2_emissions rejects
+    breakdown = lifetime_emissions(1.0, 1e-12, _PROFILE_KINDS[kind], None)
+    assert breakdown.scope2_kg == 1e-12 * 50.0 / 1000.0
 
 
 def test_lifetime_emissions_total_is_sum():

@@ -1,13 +1,19 @@
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wattplan.datafiles import data_path
 from wattplan.errors import DataFormatError, DomainError
 from wattplan.freq_policy import (
     AppBenchmark,
+    FleetRatios,
     FrequencySetting,
     Intervention,
+    JobMix,
+    PolicyDecision,
     PolicyRule,
     derived_ratios,
     fleet_ratios,
@@ -177,6 +183,148 @@ def test_fleet_all_reverted_gives_unity():
     fleet = fleet_ratios(benchmarks, {"a": 0.5, "b": 0.5}, PolicyRule(0.0))
     assert fleet.fleet_power_ratio == pytest.approx(1.0)
     assert fleet.fleet_throughput_ratio == pytest.approx(1.0)
+
+
+def _fleet_ratios_oracle(
+    benchmarks, weights: dict[str, float], rule: PolicyRule
+) -> FleetRatios:
+    """Reference fleet_ratios: the body that checked the weights itself, before
+    it built a JobMix, kept word for word."""
+    benchmarks = list(benchmarks)
+    by_app: dict[str, AppBenchmark] = {}
+    for bench in benchmarks:
+        if bench.intervention is not Intervention.FREQ_CAP_2000:
+            continue
+        if bench.app_name in by_app:
+            raise DomainError(f"duplicate benchmark for app {bench.app_name!r}")
+        by_app[bench.app_name] = bench
+    all_apps = {b.app_name for b in benchmarks}
+
+    for app, weight in weights.items():
+        if not (math.isfinite(weight) and weight >= 0):
+            raise DomainError(f"weight for {app!r} must be >= 0, got {weight}")
+        if app not in all_apps:
+            raise DomainError(f"unknown app in weights: {app!r}")
+    total = sum(weights.values())
+    if abs(total - 1.0) > 1e-9:
+        raise DomainError(f"weights must sum to 1 within 1e-9, got {total!r}")
+
+    fleet_power = 0.0
+    fleet_throughput = 0.0
+    decisions: list[PolicyDecision] = []
+    decided: set[str] = set()
+    for bench in benchmarks:
+        app = bench.app_name
+        if app not in weights or app in decided:
+            continue
+        decided.add(app)
+        # prefer the app's freq-cap row; recommend() rejects any other kind
+        source = by_app.get(app, bench)
+        decision = recommend(source, rule)
+        decisions.append(decision)
+        weight = weights[app]
+        if decision.reverted:
+            fleet_power += weight
+            fleet_throughput += weight
+        else:
+            ratios = derived_ratios(source)
+            fleet_power += weight * ratios.power_ratio
+            fleet_throughput += weight * source.perf_ratio
+    return FleetRatios(
+        fleet_power_ratio=fleet_power,
+        fleet_throughput_ratio=fleet_throughput,
+        decisions=tuple(decisions),
+    )
+
+
+_BAD_SUM = "weights must sum to 1 within 1e-9, got "
+
+
+def _error(exc: DomainError):
+    """Type and message without JobMix's `mix ` prefix. A bad sum's total is
+    kept as a float: the oracle's `sum` of no weights prints int 0, and from
+    Python 3.12 `sum` compensates, so its last digits may differ."""
+    message = str(exc).removeprefix("mix ")
+    if message.startswith(_BAD_SUM):
+        return type(exc), _BAD_SUM, float(message[len(_BAD_SUM):])
+    return type(exc), message
+
+
+def _fleet_outcome(fleet, benchmarks, weights, rule):
+    try:
+        return fleet(benchmarks, weights, rule)
+    except DomainError as exc:
+        return _error(exc)
+
+
+@st.composite
+def _fleet_cases(draw):
+    """(benchmarks, weights, rule) over a random table and mix.
+
+    An app has a freq-cap row, a BIOS row or both, in either order, and now
+    and then a second freq-cap row. The mix may leave apps out, give them zero
+    weight, name an app the table lacks, hold a negative or non-finite weight
+    or not sum to 1, and its order is shuffled.
+    """
+    ratio = st.floats(0.05, 1.5)
+    kinds = st.sampled_from(["f"] * 10 + ["b"] * 2 + ["fb"] * 3 + ["bf"] * 3 + ["ff", "fbf"])
+    benchmarks, weights = [], {}
+    for i in range(draw(st.integers(1, 5))):
+        app = f"app{i}"
+        for kind in draw(kinds):
+            intervention = FREQ if kind == "f" else BIOS
+            benchmarks.append(AppBenchmark(app, 1, intervention, draw(ratio), draw(ratio)))
+        if draw(st.integers(0, 4)):
+            weights[app] = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.01, 1.0))
+    flaw = st.integers(0, 9).map(lambda n: n == 0)
+    unknown, unnormalized, bad = draw(flaw), draw(flaw), draw(flaw)
+    if unknown:
+        weights["ghost"] = draw(st.floats(0.0, 1.0))
+    total = sum(weights.values())
+    if total > 0 and not unnormalized:
+        weights = {app: weight / total for app, weight in weights.items()}
+    if bad and weights:
+        app = draw(st.sampled_from(sorted(weights)))
+        weights[app] = draw(st.sampled_from([-0.5, -1e-300, math.nan, math.inf, -math.inf]))
+    weights = dict(draw(st.permutations(list(weights.items()))))
+    losses = [1.0 - b.perf_ratio for b in benchmarks if 0.0 <= 1.0 - b.perf_ratio <= 1.0]
+    threshold = draw(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0] + losses))
+    return benchmarks, weights, PolicyRule(threshold)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_fleet_cases())
+# a duplicate freq-cap row and a bad weight: the row scan reports first
+@example(case=([_bench("a", 0.9, 0.9), _bench("a", 0.8, 0.9)], {"a": math.nan}, PolicyRule()))
+# an unknown app, then a bad weight: the mix's own check reports first now
+@example(case=([_bench("a", 0.9, 0.9)], {"ghost": 0.5, "a": -0.5}, PolicyRule()))
+# an unknown app in a mix that does not sum to 1, and an empty mix
+@example(case=([_bench("a", 0.9, 0.9)], {"a": 1.0, "ghost": 0.5}, PolicyRule()))
+@example(case=([_bench("a", 0.9, 0.9)], {}, PolicyRule()))
+# a BIOS row before the freq-cap row, and a BIOS-only app with weight
+@example(
+    case=(
+        [_bench("a", 0.9, 0.9, BIOS), _bench("a", 0.8, 0.9), _bench("b", 0.9, 0.9, BIOS)],
+        {"a": 0.5, "b": 0.5},
+        PolicyRule(),
+    )
+)
+def test_fleet_ratios_equals_the_oracle(case):
+    benchmarks, weights, rule = case
+    expected = _fleet_outcome(_fleet_ratios_oracle, benchmarks, weights, rule)
+    if isinstance(expected, tuple) and expected[1].startswith("unknown app"):
+        # the mix is checked on its own before against the table, so a weight
+        # fault after the unknown app, or a bad sum, is the one reported
+        try:
+            JobMix(weights)
+        except DomainError as exc:
+            expected = _error(exc)
+    actual = _fleet_outcome(fleet_ratios, benchmarks, weights, rule)
+    if isinstance(expected, tuple) and expected[1] == _BAD_SUM:
+        assert actual[:2] == expected[:2]
+        assert math.isclose(actual[2], expected[2], rel_tol=1e-12)
+    else:
+        assert actual == expected
 
 
 def test_bundled_table4_contents(table4):

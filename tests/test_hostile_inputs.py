@@ -1,10 +1,11 @@
-"""Hostile JSON inputs through the CLI.
+"""Hostile JSON and CSV inputs through the CLI.
 
 Each JSON input of the CLI gets a document with one field changed, dropped or
-added. The command must either exit 0 with strict JSON on stdout, or exit 1
-or 2 with nothing on stdout and one `error:` line on stderr: no traceback, no
-warning and no NaN or Infinity. A scenario's threshold sweep must also end the
-same way in table format as in JSON.
+added, and each CSV input a table with one cell replaced, dropped or added.
+The command must either exit 0 with strict output on stdout, or exit 1 or 2
+with nothing on stdout and one `error:` line on stderr: no traceback, no
+warning and no NaN or Infinity. A scenario's threshold sweep and each CSV
+command must also end the same way in table format as in JSON.
 """
 
 import copy
@@ -166,3 +167,95 @@ def test_hostile_scenario_sweep_table_ends_as_json_does(mutation):
     if code == 0:
         assert not re.search(r"\b(inf|nan)\b", out, re.IGNORECASE), out
     assert (code, err) == (as_json[0], as_json[2])
+
+
+# Each CSV input the CLI reads: its reference rows, header first, and the
+# command that reads it from FILE.
+CSV_INPUTS = {
+    "benchmarks": (
+        [row.split(",") for row in data_path("table4_freq.csv").read_text().splitlines()],
+        ["policy", "FILE"],
+    ),
+    "profile": (
+        [["timestamp", "intensity_g_per_kwh"]]
+        + [[f"2022-06-01T{h:02d}:00:00Z", str(v)] for h, v in ((0, 120.0), (6, 95.5), (12, 40))],
+        ["emissions", "--profile", "FILE", "--power-kw", "2530", "--hours", "24"],
+    ),
+    "series": (
+        # written as write_series writes, so that the vectorized reader takes it
+        [["timestamp", "power_kw"]]
+        + [[f"2022-06-01T{h:02d}:00:00Z", "3220.5" if h < 4 else "3010.25"] for h in range(8)],
+        ["telemetry", "FILE", "--detect"],
+    ),
+}
+
+HOSTILE_CELLS = [
+    "nan", "1e400", "-1", "", "x", "9" * 5000,
+    # stamps outside the years 1 to 9999, as written and in UTC
+    "0000-01-01T00:00:00Z", "10000-01-01T00:00:00Z", "-0001-01-01T00:00:00Z",
+    "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00", "9999-12-31T23:59:59Z",
+]
+
+
+def _cell_edits(name):
+    """(input, op, row, column, value): replace the cell, add one before it,
+    or drop it. A row's column may be one past its last cell, to add there."""
+    rows = CSV_INPUTS[name][0]
+    cells = [(r, c) for r, row in enumerate(rows) for c in range(len(row))]
+    ends = [(r, len(row)) for r, row in enumerate(rows)]
+    value = st.sampled_from(HOSTILE_CELLS)
+    return st.one_of(
+        st.tuples(st.just(name), st.just("set"), st.sampled_from(cells), value),
+        st.tuples(st.just(name), st.just("add"), st.sampled_from(cells + ends), value),
+        st.tuples(st.just(name), st.just("drop"), st.sampled_from(cells), st.none()),
+    ).map(lambda edit: (edit[0], edit[1], *edit[2], edit[3]))
+
+
+def _edit_rows(rows, op, row, column, value):
+    rows = [list(cells) for cells in rows]
+    if op == "set":
+        rows[row][column] = value
+    elif op == "add":
+        rows[row].insert(column, value)
+    else:
+        del rows[row][column]
+    return rows
+
+
+def _run_edited_csv(edit, *tails):
+    """Write the edited table once and run its command with each argument tail.
+    Also returns the text cells the command prints as given: the app names."""
+    name, op, row, column, value = edit
+    reference, command = CSV_INPUTS[name]
+    rows = _edit_rows(reference, op, row, column, value)
+    with tempfile.TemporaryDirectory() as scratch:
+        file = Path(scratch) / "input.csv"
+        file.write_text("".join(",".join(cells) + "\n" for cells in rows))
+        argv = [str(file) if arg == "FILE" else arg for arg in command]
+        runs = [_run_cli(argv + tail) for tail in tails]
+    names = [cells[0] for cells in rows[1:] if cells] if name == "benchmarks" else []
+    return runs, names
+
+
+@settings(max_examples=400, deadline=None)
+@given(edit=st.sampled_from(sorted(CSV_INPUTS)).flatmap(_cell_edits))
+# a nodes count past int()'s digit limit, a stamp that leaves the datetime
+# range only once moved to UTC, a profile whose last step starts at the end of
+# that range, and a power that overflows the float range
+@example(edit=("benchmarks", "set", 1, 1, "9" * 5000))
+@example(edit=("series", "set", 1, 0, "0001-01-01T00:00:00+01:00"))
+@example(edit=("profile", "set", 3, 0, "9999-12-31T23:59:59Z"))
+@example(edit=("series", "set", 8, 1, "1e400"))
+def test_hostile_csv_inputs_exit_cleanly(edit):
+    (table, as_json), names = _run_edited_csv(edit, [], ["--format", "json"])
+    for code, out, err in (table, as_json):
+        _assert_clean_exit(code, out, err)
+    if as_json[0] == 0:
+        json.loads(as_json[1], parse_constant=_reject_constant)
+    if table[0] == 0:
+        # an app may be named nan; only the numbers must be finite
+        numbers = table[1]
+        for app in names:
+            numbers = numbers.replace(app, "")
+        assert not re.search(r"\b(inf|nan)\b", numbers, re.IGNORECASE), table[1]
+    assert (table[0], table[2]) == (as_json[0], as_json[2])

@@ -20,7 +20,7 @@ from wattplan.power_model import (
     ComponentSpec,
     FactorMode,
     apply_power_factor,
-    reference_model_archer2,
+    load_model,
 )
 from wattplan.simulator import JobMix, load_scenario_config
 
@@ -127,7 +127,10 @@ def test_constructors_reject_non_finite_numbers(value):
         JobMix({"a": value})
     with pytest.raises(DomainError, match="power factor"):
         apply_power_factor(
-            reference_model_archer2(), "compute_nodes", value, FactorMode.WHOLE_DRAW
+            load_model(data_path("archer2_system.json")),
+            "compute_nodes",
+            value,
+            FactorMode.WHOLE_DRAW,
         )
 
 

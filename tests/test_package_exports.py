@@ -45,3 +45,9 @@ def test_an_unknown_name_raises_the_standard_attribute_error():
         wattplan.nope
     with pytest.raises(ImportError, match="cannot import name 'nope'"):
         from wattplan import nope  # noqa: F401
+
+
+def test_job_mix_resolves_from_the_package_and_both_modules():
+    from wattplan import freq_policy, simulator
+
+    assert wattplan.JobMix is freq_policy.JobMix is simulator.JobMix

@@ -15,12 +15,15 @@ from wattplan.power_model import (
     load_model,
     model_from_dict,
     model_to_dict,
-    reference_model_archer2,
     save_model,
     system_power,
 )
 
 COMPUTE = ComponentSpec("compute_nodes", 5860, 0.23, 0.51, LoadResponse.LINEAR)
+
+
+def _archer2() -> SystemModel:
+    return load_model(data_path("archer2_system.json"))
 
 
 def _random_model(rng: random.Random) -> SystemModel:
@@ -88,7 +91,7 @@ def test_component_spec_validation():
 
 
 def test_system_power_reference_totals():
-    model = reference_model_archer2()
+    model = _archer2()
     loaded = system_power(model, 1.0).total_kw
     idle = system_power(model, 0.0).total_kw
     assert loaded == pytest.approx(3523.6)
@@ -98,7 +101,7 @@ def test_system_power_reference_totals():
 
 
 def test_system_power_total_is_sum_of_components():
-    model = reference_model_archer2()
+    model = _archer2()
     breakdown = system_power(model, 0.92)
     assert breakdown.total_kw == pytest.approx(sum(breakdown.per_component.values()), rel=1e-12)
     assert all(v >= 0 for v in breakdown.per_component.values())
@@ -130,12 +133,12 @@ def test_system_model_rejects_unknown_compute_component():
 
 
 def test_apply_factor_identity_returns_equal_model():
-    model = reference_model_archer2()
+    model = _archer2()
     assert apply_power_factor(model, "compute_nodes", 1.0, FactorMode.WHOLE_DRAW) == model
 
 
 def test_apply_factor_bios_whole_draw_at_operating_utilization():
-    model = reference_model_archer2()
+    model = _archer2()
     scaled = apply_power_factor(model, "compute_nodes", 0.935, FactorMode.WHOLE_DRAW)
     before = system_power(model, 0.92).total_kw
     after = system_power(scaled, 0.92).total_kw
@@ -145,30 +148,30 @@ def test_apply_factor_bios_whole_draw_at_operating_utilization():
 
 
 def test_apply_factor_dynamic_zero_leaves_idle_floor():
-    model = reference_model_archer2()
+    model = _archer2()
     scaled = apply_power_factor(model, "compute_nodes", 0.0, FactorMode.DYNAMIC_ONLY)
     breakdown = system_power(scaled, 1.0)
     assert breakdown.per_component["compute_nodes"] == pytest.approx(1347.8)
 
 
 def test_apply_factor_does_not_modify_input():
-    model = reference_model_archer2()
+    model = _archer2()
     apply_power_factor(model, "compute_nodes", 0.5, FactorMode.WHOLE_DRAW)
-    assert model == reference_model_archer2()
+    assert model == _archer2()
 
 
 def test_apply_factor_unknown_component():
     with pytest.raises(DomainError):
-        apply_power_factor(reference_model_archer2(), "gpu_nodes", 0.9, FactorMode.WHOLE_DRAW)
+        apply_power_factor(_archer2(), "gpu_nodes", 0.9, FactorMode.WHOLE_DRAW)
 
 
 def test_apply_factor_rejects_negative_factor():
     with pytest.raises(DomainError):
-        apply_power_factor(reference_model_archer2(), "compute_nodes", -0.1, FactorMode.WHOLE_DRAW)
+        apply_power_factor(_archer2(), "compute_nodes", -0.1, FactorMode.WHOLE_DRAW)
 
 
 def test_apply_factor_composes_multiplicatively():
-    model = reference_model_archer2()
+    model = _archer2()
     once = apply_power_factor(model, "compute_nodes", 0.9 * 0.8, FactorMode.WHOLE_DRAW)
     twice = apply_power_factor(
         apply_power_factor(model, "compute_nodes", 0.9, FactorMode.WHOLE_DRAW),
@@ -182,7 +185,7 @@ def test_apply_factor_composes_multiplicatively():
 
 
 def test_apply_factor_order_independent_across_modes():
-    model = reference_model_archer2()
+    model = _archer2()
     whole_first = apply_power_factor(
         apply_power_factor(model, "compute_nodes", 0.935, FactorMode.WHOLE_DRAW),
         "compute_nodes",
@@ -247,20 +250,20 @@ def test_whole_draw_scales_single_component_total_by_factor():
 
 
 def test_reference_compute_share_of_loaded_total():
-    model = reference_model_archer2()
+    model = _archer2()
     breakdown = system_power(model, 1.0)
     share = breakdown.per_component["compute_nodes"] / breakdown.total_kw
     assert 0.82 <= share <= 0.88
 
 
 def test_reference_compute_idle_loaded_ratio():
-    compute = reference_model_archer2().component("compute_nodes")
+    compute = _archer2().component("compute_nodes")
     ratio = compute.idle_kw_per_unit / compute.loaded_kw_per_unit
     assert ratio == pytest.approx(0.451, abs=5e-4)
 
 
 def test_model_json_roundtrip(tmp_path):
-    model = reference_model_archer2()
+    model = _archer2()
     path = tmp_path / "model.json"
     save_model(model, path)
     assert load_model(path) == model
@@ -274,7 +277,7 @@ def test_model_dict_roundtrip_random():
 
 
 def test_load_model_rejects_unknown_fields(tmp_path):
-    doc = model_to_dict(reference_model_archer2())
+    doc = model_to_dict(_archer2())
     doc["pue"] = 1.1
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
@@ -283,7 +286,7 @@ def test_load_model_rejects_unknown_fields(tmp_path):
 
 
 def test_load_model_rejects_unknown_component_fields(tmp_path):
-    doc = model_to_dict(reference_model_archer2())
+    doc = model_to_dict(_archer2())
     doc["components"][0]["voltage"] = 48
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
@@ -292,7 +295,7 @@ def test_load_model_rejects_unknown_component_fields(tmp_path):
 
 
 def test_load_model_missing_field(tmp_path):
-    doc = model_to_dict(reference_model_archer2())
+    doc = model_to_dict(_archer2())
     del doc["compute_component"]
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
@@ -301,7 +304,7 @@ def test_load_model_missing_field(tmp_path):
 
 
 def test_load_model_bad_load_response(tmp_path):
-    doc = model_to_dict(reference_model_archer2())
+    doc = model_to_dict(_archer2())
     doc["components"][0]["load_response"] = "quadratic"
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
@@ -310,7 +313,7 @@ def test_load_model_bad_load_response(tmp_path):
 
 
 def test_load_model_invariant_violation_is_domain_error(tmp_path):
-    doc = model_to_dict(reference_model_archer2())
+    doc = model_to_dict(_archer2())
     doc["components"][0]["idle_kw_per_unit"] = 0.9  # above the loaded figure
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
@@ -323,7 +326,3 @@ def test_load_model_invalid_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(DataFormatError):
         load_model(path)
-
-
-def test_bundled_model_file_matches_reference_model():
-    assert load_model(data_path("archer2_system.json")) == reference_model_archer2()

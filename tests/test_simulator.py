@@ -15,7 +15,7 @@ from wattplan.freq_policy import AppBenchmark, Intervention, PolicyRule
 from wattplan.power_model import (
     ComponentSpec,
     SystemModel,
-    reference_model_archer2,
+    load_model,
     system_power,
 )
 from wattplan.simulator import (
@@ -73,7 +73,7 @@ def test_baseline_power_brackets_measured_mean(baseline_config):
 
 def test_baseline_is_identity_policy(baseline_config):
     result = run_scenario(baseline_config)
-    raw = system_power(reference_model_archer2(), 0.92)
+    raw = system_power(load_model(data_path("archer2_system.json")), 0.92)
     assert result.mean_power_kw == pytest.approx(raw.total_kw, rel=1e-12)
     assert result.throughput_index == pytest.approx(1.0)
     assert all(d.reverted for d in result.decisions)
@@ -137,7 +137,7 @@ def test_dynamic_scaling_touches_only_compute(baseline_config, stacked_config):
 
 
 def test_constant_components_share_stays_small_at_high_utilization():
-    model = reference_model_archer2()
+    model = load_model(data_path("archer2_system.json"))
     for u in (0.90, 0.95, 1.0):
         breakdown = system_power(model, u)
         constant_share = (
