@@ -243,8 +243,10 @@ def _cmd_emissions(args: argparse.Namespace) -> int:
         mean_intensity = profile.constant_g_per_kwh
     else:
         anchor = profile.start_time()
-        mean_intensity = profile.mean_intensity(
-            anchor, anchor + timedelta(hours=args.hours if args.hours > 0 else 1.0)
+        end = anchor + timedelta(hours=args.hours)
+        # a window shorter than datetime's 1 us step holds the anchor's intensity
+        mean_intensity = (
+            profile.mean_intensity(anchor, end) if end > anchor else profile.intensity_at(anchor)
         )
     scenario = classify_scenario(mean_intensity)
     objective = recommended_objective(scenario)

@@ -28,7 +28,8 @@ _MIN_US = (datetime.min.replace(tzinfo=timezone.utc) - _EPOCH) // _ONE_US
 _MAX_US = (datetime.max.replace(tzinfo=timezone.utc) - _EPOCH) // _ONE_US
 # the longest span a datetime can hold, and so the longest synthetic segment
 _MAX_SEGMENT_HOURS = (datetime.max - datetime.min) / timedelta(hours=1)
-_CHUNK = 1 << 12  # rows per vectorized batch, which bounds the temporaries
+_CHUNK = 1 << 12  # rows per batch of timestamps and write_series, which bounds the temporaries
+_BATCH = 1 << 14  # rows per batch of the canonical parse
 
 
 def _micros(ts: datetime) -> int:
@@ -208,6 +209,8 @@ _STAMP_SEPARATOR_AT = [4, 7, 10, 13, 16, 19, 20]
 _STAMP_DIGIT_AT = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
 _NUMBER_BYTE = np.zeros(256, dtype=bool)
 _NUMBER_BYTE[np.frombuffer(b"0123456789.+-eE", dtype=np.uint8)] = True
+_EXACT_DIGITS = 15  # integers below 10**15, and 10**k for k <= 22, are exact doubles
+_POWERS_OF_TEN = 10.0 ** np.arange(_EXACT_DIGITS + 1)
 
 
 def _parse_canonical(path: str | Path) -> PowerSeries | None:
@@ -224,55 +227,108 @@ def _parse_canonical(path: str | Path) -> PowerSeries | None:
         return None
     body = np.frombuffer(data, dtype=np.uint8, offset=len(_HEADER))
     ends = np.flatnonzero(body == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))
+    starts = np.concatenate(([0], ends + 1))[:-1]
+    lengths = ends - starts
     times = np.empty(len(ends), dtype=np.int64)
     power = np.empty(len(ends))
-    for lo in range(0, len(ends), _CHUNK):
-        rows = slice(lo, lo + _CHUNK)
-        parsed = _parse_canonical_rows(body, starts[rows], ends[rows])
-        if parsed is None:
+    # a batch per row length, so that byte j of every row is one column
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
+        if length <= _STAMP_BYTES:
             return None
-        times[rows], power[rows] = parsed
+        windows = sliding_window_view(body, length)
+        group = np.flatnonzero(lengths == length)
+        for lo in range(0, len(group), _BATCH):
+            rows = group[lo : lo + _BATCH]
+            first, n = int(rows[0]), len(rows)
+            if rows[-1] - first == n - 1:
+                # consecutive rows of one length are evenly spaced in the file
+                rows = slice(first, first + n)
+                block = windows[starts[first] :: length + 1][:n]
+            else:
+                block = windows[starts[rows]]
+            seconds = _canonical_seconds(block)
+            kw = None if seconds is None else _canonical_power(block)
+            if kw is None:
+                return None
+            times[rows] = seconds * 1_000_000
+            power[rows] = kw
     try:
         return PowerSeries.from_arrays(times, power)
     except DomainError:
         return None
 
 
-def _parse_canonical_rows(
-    body: np.ndarray, starts: np.ndarray, ends: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Epoch microseconds and kW of canonical rows, or None if any row is not."""
-    number_at = starts + _STAMP_BYTES
-    number_bytes = ends - number_at
-    if number_bytes.min() < 1:
+def _canonical_seconds(rows: np.ndarray) -> np.ndarray | None:
+    """Epoch seconds of the rows' `YYYY-MM-DDTHH:MM:SSZ,` stamps, or None."""
+    cols = np.ascontiguousarray(rows[:, :_STAMP_BYTES].T)  # byte j of every row is cols[j]
+    if not (cols[_STAMP_SEPARATOR_AT] == _STAMP_SEPARATORS[:, None]).all():
         return None
-
-    stamp = sliding_window_view(body, _STAMP_BYTES)[starts]
-    if not (stamp[:, _STAMP_SEPARATOR_AT] == _STAMP_SEPARATORS).all():
-        return None
+    digits = cols[_STAMP_DIGIT_AT] - np.uint8(ord("0"))
     # numpy's parser would also take a sign, a space or a NUL in the year
-    if (stamp[:, _STAMP_DIGIT_AT] - np.uint8(ord("0")) > 9).any():
+    if (digits > 9).any():
         return None
-    # with every byte pinned to YYYY-MM-DDTHH:MM:SS, numpy's ISO parser checks
-    # the month, the day of the month (leap days too), hour, minute and second
+    # YY, YY, MM, DD, hh, mm, ss
+    pairs = digits[0::2].astype(np.int32) * 10 + digits[1::2]
+    hour, minute, second = pairs[4], pairs[5], pairs[6]
+    if ((hour > 23) | (minute > 59) | (second > 59)).any():
+        return None
+    # numpy's ISO parser checks the month and the day of the month (leap days
+    # too), once per run of rows on the same date. It reads them as str, as a
+    # failed cast of more than 500 bytes strings crashes numpy 2.4.6.
+    date = ((pairs[0] * 100 + pairs[1]) * 100 + pairs[2]) * 100 + pairs[3]
+    first = np.flatnonzero(np.concatenate(([True], date[1:] != date[:-1])))
+    text = np.ascontiguousarray(rows[first, :10]).view("S10")[:, 0].astype("U10")
     try:
-        seconds = stamp[:, :19].copy().view("S19")[:, 0].astype("datetime64[s]")
+        days = text.astype("datetime64[D]")
     except ValueError:
         return None
+    days = np.repeat(days.astype(np.int64), np.diff(first, append=len(rows)))
+    return days * 86_400 + ((hour * 60 + minute) * 60 + second)
 
-    # the numbers, a batch per width so that each is exactly its own bytes
-    power = np.empty(len(starts))
-    for width in np.flatnonzero(np.bincount(number_bytes)).tolist():
-        rows = np.flatnonzero(number_bytes == width)
-        text = sliding_window_view(body, width)[number_at[rows]]
+
+def _canonical_power(rows: np.ndarray) -> np.ndarray | None:
+    """The kW after each row's stamp, or None if one is not a number.
+
+    A plain decimal of at most 15 digits is M / 10**k with M and 10**k exact
+    doubles, so one correctly rounded division gives float()'s value
+    (Clinger 1990). Any other number goes through numpy's cast.
+    """
+    width = rows.shape[1] - _STAMP_BYTES
+    power = np.empty(len(rows))
+    exact = np.zeros(len(rows), dtype=bool)
+    # a wider number has more than 15 digits or is not a plain decimal
+    if width <= _EXACT_DIGITS + 1:
+        number = np.ascontiguousarray(rows[:, _STAMP_BYTES:].T)
+        digit = number - np.uint8(ord("0"))
+        point = number == ord(".")
+        n_digits = (digit <= 9).sum(axis=0, dtype=np.uint8)
+        n_points = point.sum(axis=0, dtype=np.uint8)
+        exact = (n_digits + n_points == width) & (n_points <= 1)
+        exact &= (n_digits >= 1) & (n_digits <= _EXACT_DIGITS)
+        # Horner's rule over the digits; `decimals` counts those after the point
+        mantissa = np.zeros(len(rows))
+        decimals = 0
+        for j in range(width):
+            if point[j].all():
+                decimals = width - 1 - j
+                continue
+            shifted = mantissa * 10 + digit[j]
+            if point[j].any():
+                mantissa = np.where(point[j], mantissa, shifted)
+                decimals = np.where(point[j], width - 1 - j, decimals)
+            else:
+                mantissa = shifted
+        power = mantissa / _POWERS_OF_TEN[decimals]
+    other = np.flatnonzero(~exact)
+    if other.size:
+        text = rows[other, _STAMP_BYTES:]
         if not _NUMBER_BYTE[text].all():
             return None
         try:
-            power[rows] = text.view(f"S{width}")[:, 0].astype(np.float64)
+            power[other] = np.ascontiguousarray(text).view(f"S{width}")[:, 0].astype(np.float64)
         except ValueError:
             return None
-    return seconds.astype(np.int64) * 1_000_000, power
+    return power
 
 
 def _parse_rows(path: str | Path) -> PowerSeries:

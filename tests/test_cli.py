@@ -225,6 +225,48 @@ def test_emissions_rejects_infinite_hours_on_a_profile(capsys, tmp_path):
     assert err == "error: duration must be >= 0 hours, got inf\n"
 
 
+@pytest.mark.parametrize("hours", ["0", "1e-12"])
+def test_emissions_window_shorter_than_a_microsecond_reports_the_anchor_intensity(
+    capsys, tmp_path, hours
+):
+    profile = tmp_path / "intensity.csv"
+    # 20 g/kWh holds for the first hour, so a 1 h window would average 30
+    profile.write_text(
+        "timestamp,intensity_g_per_kwh\n"
+        "2022-01-01T00:00:00Z,20\n"
+        "2022-01-01T00:30:00Z,40\n"
+    )
+    doc = _run_json(
+        capsys, "emissions", "--profile", str(profile), "--power-kw", "1", "--hours", hours
+    )
+    assert doc["mean_intensity_g_per_kwh"] == 20.0
+    assert doc["scope2_kg"] == float(hours) * 20.0 / 1000.0
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda stamps: stamps.__setitem__(1000, "2022-06-01T24:00:00Z"),
+        lambda stamps: stamps.__setitem__(1000, "2023-02-29" + stamps[1000][10:]),
+    ],
+    ids=["hour-24", "29-february"],
+)
+def test_telemetry_rejects_a_bad_stamp_in_a_long_file(tmp_path, edit):
+    # one invalid stamp among thousands of canonical rows, read by a child
+    # process, where a crash in numpy would show as its exit status
+    start = datetime(2020, 2, 27, tzinfo=timezone.utc)
+    stamps = [format_timestamp(start + timedelta(days=i)) for i in range(3000)]
+    edit(stamps)
+    path = tmp_path / "series.csv"
+    path.write_text("timestamp,power_kw\n" + "".join(f"{t},3220.5\n" for t in stamps))
+    done = _child(
+        "import sys; from wattplan.cli import main; sys.exit(main(sys.argv[1:]))",
+        "telemetry", str(path), "--detect",
+    )
+    _assert_rejected(done.returncode, done.stdout.decode(), done.stderr.decode(), 2)
+    assert "line 1002: " in done.stderr.decode()
+
+
 def test_simulate_baseline(capsys):
     doc = _run_json(capsys, "simulate", "builtin:baseline_scenario.json")
     assert 3000.0 <= doc["mean_power_kw"] <= 3400.0

@@ -1,5 +1,6 @@
-"""The array-backed telemetry paths against the tuple-of-datetime code they
-replaced, which is kept here verbatim as the oracle: the vectorized CSV parse,
+"""The array-backed telemetry paths against the code they replaced, which is
+kept here verbatim as the oracle: the vectorized CSV parse against the
+tuple-of-datetime parse and against the per-width vectorized parse before it,
 the chunked writer, integer-microsecond synthesis, and the searchsorted
 windows and changepoint."""
 
@@ -8,6 +9,7 @@ import csv
 import math
 import pickle
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from datetime import datetime, timedelta, timezone
 
@@ -15,9 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from wattplan.errors import DataFormatError, DomainError
 from wattplan.telemetry import (
+    _BATCH,
     PowerSeries,
     SeriesSegment,
     _parse_canonical,
@@ -70,6 +74,74 @@ def reference_parse(path):
     return tuple(timestamps), tuple(values)
 
 
+# the per-width vectorized parse, before the column-wise one
+_HEADER = b"timestamp,power_kw\n"
+_STAMP_BYTES = 21
+_STAMP_SEPARATORS = np.frombuffer(b"--T::Z,", dtype=np.uint8)
+_STAMP_SEPARATOR_AT = [4, 7, 10, 13, 16, 19, 20]
+_STAMP_DIGIT_AT = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_NUMBER_BYTE = np.zeros(256, dtype=bool)
+_NUMBER_BYTE[np.frombuffer(b"0123456789.+-eE", dtype=np.uint8)] = True
+_CHUNK = 1 << 12
+
+
+def reference_parse_canonical(path):
+    """_parse_canonical as it was before the column-wise parse."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if not (data.startswith(_HEADER) and data.endswith(b"\n")):
+        return None
+    body = np.frombuffer(data, dtype=np.uint8, offset=len(_HEADER))
+    ends = np.flatnonzero(body == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    times = np.empty(len(ends), dtype=np.int64)
+    power = np.empty(len(ends))
+    for lo in range(0, len(ends), _CHUNK):
+        rows = slice(lo, lo + _CHUNK)
+        parsed = _parse_canonical_rows(body, starts[rows], ends[rows])
+        if parsed is None:
+            return None
+        times[rows], power[rows] = parsed
+    try:
+        return PowerSeries.from_arrays(times, power)
+    except DomainError:
+        return None
+
+
+def _parse_canonical_rows(body, starts, ends):
+    """Epoch microseconds and kW of canonical rows, or None if any row is not."""
+    number_at = starts + _STAMP_BYTES
+    number_bytes = ends - number_at
+    if number_bytes.min() < 1:
+        return None
+
+    stamp = sliding_window_view(body, _STAMP_BYTES)[starts]
+    if not (stamp[:, _STAMP_SEPARATOR_AT] == _STAMP_SEPARATORS).all():
+        return None
+    # numpy's parser would also take a sign, a space or a NUL in the year
+    if (stamp[:, _STAMP_DIGIT_AT] - np.uint8(ord("0")) > 9).any():
+        return None
+    # with every byte pinned to YYYY-MM-DDTHH:MM:SS, numpy's ISO parser checks
+    # the month, the day of the month (leap days too), hour, minute and second
+    try:
+        seconds = stamp[:, :19].copy().view("S19")[:, 0].astype("datetime64[s]")
+    except ValueError:
+        return None
+
+    # the numbers, a batch per width so that each is exactly its own bytes
+    power = np.empty(len(starts))
+    for width in np.flatnonzero(np.bincount(number_bytes)).tolist():
+        rows = np.flatnonzero(number_bytes == width)
+        text = sliding_window_view(body, width)[number_at[rows]]
+        if not _NUMBER_BYTE[text].all():
+            return None
+        try:
+            power[rows] = text.view(f"S{width}")[:, 0].astype(np.float64)
+        except ValueError:
+            return None
+    return seconds.astype(np.int64) * 1_000_000, power
+
+
 def reference_write(series, path):
     """write_series as it was before the chunked writer."""
     lines = ["timestamp,power_kw"]
@@ -96,7 +168,20 @@ def assert_same_series(series, timestamps, values):
     assert list(map(repr, series.values_kw)) == list(map(repr, values))
 
 
-def assert_parse_matches_reference(path):
+def assert_fast_path_matches_oracle(path):
+    """The column-wise parse takes the files the per-width one took, with the
+    same arrays; the int64 view tells -0.0 from 0.0."""
+    want = reference_parse_canonical(path)
+    got = _parse_canonical(path)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(got.times_us, want.times_us)
+        assert np.array_equal(got.power_kw.view(np.int64), want.power_kw.view(np.int64))
+
+
+def assert_parse_matches_reference(path, oracle=True):
+    if oracle:
+        assert_fast_path_matches_oracle(path)
     try:
         want = reference_parse(path)
     except DataFormatError as exc:
@@ -189,7 +274,18 @@ ROW_EDITS = ["duplicate", "swap", "blank", "three fields", "one field"] + ["stam
 canonical_stamps = st.datetimes(
     min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)
 ).map(lambda t: t.replace(microsecond=0))
+
+
+@st.composite
+def plain_decimals(draw):
+    """Digits with at most one point, around the 15 digits of the exact path."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=18))
+    at = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=len(digits))))
+    return digits if at is None else f"{digits[:at]}.{digits[at:]}"
+
+
 values = st.one_of(
+    plain_decimals(),
     st.floats(min_value=0.0, max_value=1e300).map(repr),
     st.floats(min_value=0.0, max_value=1e7).map(lambda v: f"{v:.3f}"),
     st.floats(min_value=0.0, max_value=1e7).map(lambda v: f"{v:e}"),
@@ -283,6 +379,7 @@ def test_canonical_files_take_the_fast_path(tmp_path, times, data):
     fast = _parse_canonical(path)
     assert fast is not None
     assert_same_series(fast, *reference_parse(path))
+    assert_fast_path_matches_oracle(path)
 
 
 @pytest.mark.parametrize(
@@ -309,19 +406,97 @@ def test_edge_files_match_the_reference(tmp_path, text):
 
 def test_long_file_matches_the_reference(tmp_path):
     rng = np.random.default_rng(3)
-    n = 10_000  # more than two vectorized batches, across the 2024 leap day
+    n = 4 * _BATCH  # more than two vectorized batches, across the 2024 leap day
     start = datetime(2024, 2, 1, 12, tzinfo=UTC)
     milli_kw = rng.integers(0, 5_000_000, n)
+    lines = [
+        f"{format_timestamp(start + timedelta(minutes=7 * i))},{k / 1000}\n"
+        for i, k in enumerate(milli_kw.tolist())
+    ]
+    # batches are per row length, and the most common length alone fills three
+    assert max(Counter(map(len, lines)).values()) > 2 * _BATCH
     path = tmp_path / "year.csv"
-    path.write_text(
-        "timestamp,power_kw\n"
-        + "".join(
-            f"{format_timestamp(start + timedelta(minutes=7 * i))},{k / 1000}\n"
-            for i, k in enumerate(milli_kw.tolist())
-        )
-    )
+    path.write_text("timestamp,power_kw\n" + "".join(lines))
     assert _parse_canonical(path) is not None
     assert_parse_matches_reference(path)
+
+
+def _write_rows(path, stamps, values):
+    path.write_text("timestamp,power_kw\n" + "".join(f"{t},{v}\n" for t, v in zip(stamps, values)))
+
+
+def _minutes(start, n):
+    return [format_timestamp(start + timedelta(minutes=i)) for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        "999999999999999", "9999999999999999", "0.000000000000001", ".000000000000001",
+        "123456789012345.", "1234567890123456.", "9007199254740993", "0003220.5",
+        "000000000000003220.5", "5.", ".5", "0", "0.0", "0.1", "0.3", "3220.123",
+        "9999999999.999999", "1.7976931348623157", "4.9406564584124654e-324",
+    ],
+)
+def test_decimals_are_bit_identical_to_float(tmp_path, value):
+    path = tmp_path / "series.csv"
+    _write_rows(path, ["2022-06-01T00:00:00Z", "2022-06-01T00:01:00Z"], [value, value])
+    series = _parse_canonical(path)
+    assert series is not None
+    assert series.power_kw.view(np.int64).tolist() == [np.float64(float(value)).view(np.int64)] * 2
+    assert_parse_matches_reference(path)
+
+
+def test_rows_of_several_lengths_match_the_reference(tmp_path):
+    rng = np.random.default_rng(8)
+    n = 3 * _BATCH
+    # a first half all below 1000 kW, so one length; then .3f values crossing it
+    first_half = np.arange(n) < n // 2
+    kw = np.where(first_half, rng.uniform(990.0, 999.0, n), rng.uniform(990.0, 1010.0, n))
+    path = tmp_path / "series.csv"
+    _write_rows(path, _minutes(datetime(2023, 12, 31, tzinfo=UTC), n), [f"{v:.3f}" for v in kw])
+    assert _parse_canonical(path) is not None
+    assert_parse_matches_reference(path)
+
+
+def test_daily_stamps_match_the_reference(tmp_path):
+    # a new date on every row, across the 1900 non-leap year and several leap days
+    start = datetime(1896, 1, 1, tzinfo=UTC)
+    stamps = [
+        format_timestamp(start + timedelta(days=i, seconds=(i * 7919) % 86_400))
+        for i in range(_BATCH + 1000)
+    ]
+    path = tmp_path / "series.csv"
+    _write_rows(path, stamps, [f"{i % 5000}.{i % 7}" for i in range(len(stamps))])
+    assert _parse_canonical(path) is not None
+    assert_parse_matches_reference(path)
+
+
+@pytest.mark.parametrize("step", [timedelta(minutes=1), timedelta(days=1)])
+def test_invalid_date_over_several_rows_matches_the_reference(tmp_path, step):
+    start = datetime(2023, 2, 27, tzinfo=UTC) - 1000 * step
+    stamps = [format_timestamp(start + i * step) for i in range(5000)]
+    # ten rows from 1 March dated 29 February
+    bad = next(i for i, t in enumerate(stamps) if t.startswith("2023-03-01"))
+    for i in range(bad, bad + 10):
+        stamps[i] = "2023-02-29" + stamps[i][10:]
+    path = tmp_path / "series.csv"
+    _write_rows(path, stamps, ["3220.5"] * len(stamps))
+    assert _parse_canonical(path) is None
+    with pytest.raises(DataFormatError, match=f"line {bad + 2}: "):
+        parse_series(path)
+    # the per-width parse's failed cast of a 4,096-row chunk segfaults numpy 2.4.6
+    assert_parse_matches_reference(path, oracle=False)
+
+
+@pytest.mark.parametrize("stamp", STAMP_EDITS)
+def test_one_odd_stamp_in_a_long_file_matches_the_reference(tmp_path, stamp):
+    stamps = _minutes(datetime(2022, 6, 1, tzinfo=UTC) - timedelta(minutes=1000), 2000)
+    stamps[1000] = stamp
+    path = tmp_path / "series.csv"
+    _write_rows(path, stamps, ["3220.5"] * len(stamps))
+    # as above, the per-width parse would crash on several of these stamps
+    assert_parse_matches_reference(path, oracle=False)
 
 
 # -- the chunked writer -------------------------------------------------------
