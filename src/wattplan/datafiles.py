@@ -53,13 +53,17 @@ def read_json(path: str | Path):
 
 @contextmanager
 def csv_rows(path: str | Path):
-    """A csv.reader over a UTF-8 file; a byte that is not UTF-8, met while the
-    rows are read, raises DataFormatError naming the file."""
+    """A csv.reader over a UTF-8 file. A byte that is not UTF-8, or a line the
+    reader rejects (such as a field over csv's size limit), met while the rows
+    are read, raises DataFormatError naming the file."""
     with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
         try:
-            yield csv.reader(handle)
+            yield reader
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number", float: "number"}

@@ -209,6 +209,10 @@ _STAMP_SEPARATOR_AT = [4, 7, 10, 13, 16, 19, 20]
 _STAMP_DIGIT_AT = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
 _NUMBER_BYTE = np.zeros(256, dtype=bool)
 _NUMBER_BYTE[np.frombuffer(b"0123456789.+-eE", dtype=np.uint8)] = True
+# a whole-second write_series row is at most 21 + 24 bytes (the longest float
+# repr); a longer row goes to the per-row parser, as its cast below would take
+# about 132 bytes per byte of the row
+_MAX_ROW_BYTES = 64
 _EXACT_DIGITS = 15  # integers below 10**15, and 10**k for k <= 22, are exact doubles
 _POWERS_OF_TEN = 10.0 ** np.arange(_EXACT_DIGITS + 1)
 
@@ -229,6 +233,8 @@ def _parse_canonical(path: str | Path) -> PowerSeries | None:
     ends = np.flatnonzero(body == ord("\n"))
     starts = np.concatenate(([0], ends + 1))[:-1]
     lengths = ends - starts
+    if lengths.size and lengths.max() > _MAX_ROW_BYTES:
+        return None
     times = np.empty(len(ends), dtype=np.int64)
     power = np.empty(len(ends))
     # a batch per row length, so that byte j of every row is one column
@@ -386,17 +392,61 @@ def write_series(series: PowerSeries, path: str | Path) -> None:
 
     Times are ISO-8601 UTC with a trailing Z, with microseconds only where
     they are non-zero; powers are Python float reprs.
+
+    Each chunk of rows is written column-wise: its stamps become one format
+    text of lines `YYYY-MM-DDTHH:MM:SSZ,%r` (see _row_formats), and one `%`
+    with the chunk's powers fills in their reprs, the same bytes as a
+    per-row f-string. On 43,800 1-minute rows that took the write from about
+    48 to about 37 reference ms. Nearly all that is left is float.__repr__
+    itself; beating it would need an exact shortest-digits kernel such as Ryu.
     """
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("timestamp,power_kw\n")
         for lo in range(0, len(series), _CHUNK):
-            times = series.times_us[lo : lo + _CHUNK].astype("datetime64[us]")
-            stamps = np.datetime_as_string(times, unit="s").tolist()
-            fine = np.flatnonzero(times.astype(np.int64) % 1_000_000)
-            for i, text in zip(fine.tolist(), np.datetime_as_string(times[fine]).tolist()):
-                stamps[i] = text
-            power = series.power_kw[lo : lo + _CHUNK].tolist()
-            handle.write("".join([f"{t}Z,{v!r}\n" for t, v in zip(stamps, power)]))
+            rows = _row_formats(series.times_us[lo : lo + _CHUNK])
+            handle.write(rows % tuple(series.power_kw[lo : lo + _CHUNK].tolist()))
+
+
+_US_PER_DAY = 86_400_000_000
+_ROW_END = np.frombuffer(b"%r\n", dtype=np.uint8)
+_FRACTION_AT = _STAMP_SEPARATOR_AT[5]  # a fraction of a second goes before the Z
+_FRACTION_PLACES = 10 ** np.arange(5, -1, -1, dtype=np.int64)[:, None]
+
+
+def _row_formats(times_us: np.ndarray) -> str:
+    """One `YYYY-MM-DDTHH:MM:SS[.ffffff]Z,%r` line per epoch-microsecond time,
+    with the fraction only where it is non-zero.
+
+    The text is built as a uint8 matrix whose row j is byte j of every line,
+    the layout the canonical parse reads. The fields are int64 arithmetic
+    until they are stored, as numpy 1.x keeps uint8 arithmetic in uint8.
+    """
+    n = len(times_us)
+    days = times_us // _US_PER_DAY
+    micros = times_us - days * _US_PER_DAY
+    cols = np.empty((_STAMP_BYTES + len(_ROW_END), n), dtype=np.uint8)
+    # the date text once per run of rows on the same day, as the parse checks it
+    first = np.flatnonzero(np.concatenate(([True], days[1:] != days[:-1])))
+    dates = np.datetime_as_string(days[first].astype("datetime64[D]")).astype("S10")
+    dates = dates.view(np.uint8).reshape(-1, 10)
+    cols[:10] = np.repeat(dates, np.diff(first, append=n), axis=0).T
+    cols[_STAMP_SEPARATOR_AT] = _STAMP_SEPARATORS[:, None]
+    cols[_STAMP_BYTES:] = _ROW_END[:, None]
+    seconds = micros // 1_000_000
+    hms = np.stack((seconds // 3600, seconds // 60 % 60, seconds % 60))
+    cols[_STAMP_DIGIT_AT[8::2]] = hms // 10 + ord("0")
+    cols[_STAMP_DIGIT_AT[9::2]] = hms % 10 + ord("0")
+    lines = cols.T
+    fraction = micros % 1_000_000
+    if fraction.any():
+        # ".ffffff" goes into every line, then out of those on a whole second
+        digits = fraction // _FRACTION_PLACES % 10 + ord("0")
+        dot = np.full((1, n), ord("."), dtype=np.int64)
+        lines = np.insert(cols, [_FRACTION_AT] * 7, np.concatenate((dot, digits)), axis=0).T
+        keep = np.ones(lines.shape, dtype=bool)
+        keep[fraction == 0, _FRACTION_AT : _FRACTION_AT + 7] = False
+        lines = lines[keep]
+    return lines.tobytes().decode()
 
 
 def window_mean(series: PowerSeries, start: datetime, end: datetime) -> WindowStats:

@@ -13,10 +13,12 @@ import io
 import json
 import re
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -246,6 +248,10 @@ def _run_edited_csv(edit, *tails):
 @example(edit=("series", "set", 1, 0, "0001-01-01T00:00:00+01:00"))
 @example(edit=("profile", "set", 3, 0, "9999-12-31T23:59:59Z"))
 @example(edit=("series", "set", 8, 1, "1e400"))
+# a field over csv's size limit
+@example(edit=("series", "set", 2, 1, "9" * 200_000))
+@example(edit=("benchmarks", "set", 1, 0, "9" * 200_000))
+@example(edit=("profile", "set", 2, 1, "9" * 200_000))
 def test_hostile_csv_inputs_exit_cleanly(edit):
     (table, as_json), names = _run_edited_csv(edit, [], ["--format", "json"])
     for code, out, err in (table, as_json):
@@ -259,3 +265,34 @@ def test_hostile_csv_inputs_exit_cleanly(edit):
             numbers = numbers.replace(app, "")
         assert not re.search(r"\b(inf|nan)\b", numbers, re.IGNORECASE), table[1]
     assert (table[0], table[2]) == (as_json[0], as_json[2])
+
+
+@pytest.mark.parametrize("name", sorted(CSV_INPUTS))
+def test_a_field_over_the_csv_limit_names_its_file_and_line(name):
+    # row 2 is the file's line 3
+    [(code, out, err)], _ = _run_edited_csv((name, "set", 2, 1, "9" * 200_000), [])
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: .*input\.csv: line 3: field larger than field limit \(\d+\)\n",
+                        err), err
+
+
+# the canonical parse casted a row of n bytes through about 132 n bytes
+MEGABYTE_VALUE_PEAK_BYTES = 16_000_000
+
+
+def test_a_megabyte_power_value_is_rejected_in_bounded_memory():
+    with tempfile.TemporaryDirectory() as scratch:
+        file = Path(scratch) / "input.csv"
+        file.write_text(
+            "timestamp,power_kw\n2022-06-01T00:00:00Z,3220.5\n"
+            f"2022-06-01T00:01:00Z,{'9' * 1_000_000}\n"
+        )
+        tracemalloc.start()
+        try:
+            code, out, err = _run_cli(["telemetry", str(file), "--detect"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err.endswith(": line 3: field larger than field limit (131072)\n"), err
+    assert peak < MEGABYTE_VALUE_PEAK_BYTES

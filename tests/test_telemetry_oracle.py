@@ -20,8 +20,10 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from wattplan.errors import DataFormatError, DomainError
+from wattplan.telemetry import _CHUNK as _WRITE_CHUNK
 from wattplan.telemetry import (
     _BATCH,
+    _MAX_ROW_BYTES,
     PowerSeries,
     SeriesSegment,
     _parse_canonical,
@@ -459,6 +461,17 @@ def test_rows_of_several_lengths_match_the_reference(tmp_path):
     assert_parse_matches_reference(path)
 
 
+@pytest.mark.parametrize("extra", [0, 1])
+def test_rows_past_the_length_bound_go_row_by_row(tmp_path, extra):
+    # a longest write_series row fits, with room to spare
+    assert _STAMP_BYTES + len(repr(2.2250738585072014e-308)) <= _MAX_ROW_BYTES
+    value = "0." + "0" * (_MAX_ROW_BYTES - _STAMP_BYTES - 3 + extra) + "7"
+    path = tmp_path / "series.csv"
+    _write_rows(path, _minutes(datetime(2023, 12, 31, tzinfo=UTC), 3), ["1.5", value, "2.5"])
+    assert (_parse_canonical(path) is None) == bool(extra)
+    assert_parse_matches_reference(path, oracle=False)
+
+
 def test_daily_stamps_match_the_reference(tmp_path):
     # a new date on every row, across the 1900 non-leap year and several leap days
     start = datetime(1896, 1, 1, tzinfo=UTC)
@@ -499,28 +512,84 @@ def test_one_odd_stamp_in_a_long_file_matches_the_reference(tmp_path, stamp):
     assert_parse_matches_reference(path, oracle=False)
 
 
-# -- the chunked writer -------------------------------------------------------
+# -- the column-wise writer --------------------------------------------------
 
 micro_stamps = st.datetimes(
     min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59, 999_999)
 )
+whole_stamps = micro_stamps.map(lambda t: t.replace(microsecond=0))
+# values whose reprs take each form: zero of either sign, a trailing .0, an
+# exponent, subnormals, the longest repr, the largest finite double
+EDGE_POWERS = [
+    0.0, -0.0, 3.0, 0.1, 3220.0, 1e16, 1e-5, 1e300, 5e-324, 1.5e-323,
+    2.2250738585072014e-308, 1.7976931348623157e308, 123456789012345.67,
+]
 powers = st.one_of(
     st.floats(min_value=0.0, max_value=1e300),
     st.floats(min_value=0.0, max_value=1e-300),
-    st.sampled_from([0.0, -0.0, 1e16, 1e-5, 0.1, 3220.0]),
+    st.sampled_from(EDGE_POWERS),
 )
 
 
-@settings(
-    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-)
-@given(samples=st.dictionaries(micro_stamps, powers, max_size=12))
-def test_write_matches_the_per_row_reference(tmp_path, samples):
-    times = sorted(samples)
-    series = PowerSeries(times, [samples[t] for t in times])
+def assert_writes_as_the_reference(tmp_path, series):
+    """The same bytes as the per-row writer, read back to the same series."""
     write_series(series, tmp_path / "new.csv")
     reference_write(series, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert_same_series(parse_series(tmp_path / "new.csv"), series.timestamps, series.values_kw)
+
+
+# fractional seconds on every row, on none, or on some
+stamp_kinds = st.sampled_from([micro_stamps, whole_stamps, st.one_of(whole_stamps, micro_stamps)])
+
+
+@settings(
+    max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(samples=stamp_kinds.flatmap(lambda stamps: st.dictionaries(stamps, powers, max_size=12)))
+def test_write_matches_the_per_row_reference(tmp_path, samples):
+    times = sorted(samples)
+    series = PowerSeries(times, [samples[t] for t in times])
+    assert_writes_as_the_reference(tmp_path, series)
+
+
+def _stamps(*texts):
+    return [datetime.fromisoformat(text) for text in texts]
+
+
+CALENDAR_EDGES = {
+    "day": _stamps("2022-03-14T23:59:59", "2022-03-14T23:59:59.999999", "2022-03-15T00:00:00",
+                   "2022-03-15T00:00:00.000001"),
+    "month": _stamps("2022-01-31T23:59:59", "2022-02-01T00:00:00", "2022-04-30T23:59:59.5",
+                     "2022-05-01T00:00:00"),
+    "leap day": _stamps("2024-02-28T23:59:59", "2024-02-29T00:00:00", "2024-02-29T23:59:59.25",
+                        "2024-03-01T00:00:00", "2000-02-29T12:00:00", "1900-02-28T23:59:59",
+                        "1900-03-01T00:00:00"),
+    "year": _stamps("2022-12-31T23:59:59", "2022-12-31T23:59:59.999999", "2023-01-01T00:00:00",
+                    "1999-12-31T23:59:59", "2000-01-01T00:00:00"),
+    "year 1": _stamps("0001-01-01T00:00:00", "0001-01-01T00:00:00.000001", "0001-01-01T23:59:59",
+                      "0009-09-09T09:09:09", "0099-12-31T23:59:59", "0999-12-31T23:59:59"),
+    "year 9999": _stamps("9999-12-30T23:59:59.999999", "9999-12-31T00:00:00",
+                         "9999-12-31T23:59:59", "9999-12-31T23:59:59.999999"),
+    "before 1970": _stamps("1969-12-31T23:59:59", "1969-12-31T23:59:59.999999",
+                           "1970-01-01T00:00:00", "1970-01-01T00:00:00.000001",
+                           "1901-12-13T20:45:52", "1583-10-15T00:00:00.5"),
+}
+
+
+@pytest.mark.parametrize("stamps", CALENDAR_EDGES.values(), ids=CALENDAR_EDGES.keys())
+def test_calendar_edges_match_the_reference(tmp_path, stamps):
+    times = sorted(stamps)
+    power = [EDGE_POWERS[i % len(EDGE_POWERS)] for i in range(len(times))]
+    assert_writes_as_the_reference(tmp_path, PowerSeries(times, power))
+
+
+@pytest.mark.parametrize("whole", [True, False], ids=["whole", "fractional"])
+@pytest.mark.parametrize("value", EDGE_POWERS, ids=repr)
+def test_edge_powers_match_the_reference(tmp_path, value, whole):
+    start = datetime(2022, 6, 1, microsecond=0 if whole else 250_000)
+    times = [start + timedelta(seconds=i) for i in range(3)]
+    assert_writes_as_the_reference(tmp_path, PowerSeries(times, [value] * 3))
 
 
 def test_write_matches_the_reference_across_chunks(tmp_path):
@@ -530,10 +599,17 @@ def test_write_matches_the_reference_across_chunks(tmp_path):
     times = -100_000_000_000 + np.cumsum(steps)
     assert times[0] < 0 < times[-1]  # crosses 1970 with whole and fractional seconds
     series = PowerSeries.from_arrays(times, rng.uniform(0.0, 1e4, n))
-    write_series(series, tmp_path / "new.csv")
-    reference_write(series, tmp_path / "old.csv")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-    assert parse_series(tmp_path / "new.csv") == series
+    assert_writes_as_the_reference(tmp_path, series)
+
+
+def test_whole_mixed_and_fractional_chunks_match_the_reference(tmp_path):
+    # one chunk of whole seconds, one whose last row alone has a fraction,
+    # then one of fractions only
+    times = np.arange(3 * _WRITE_CHUNK, dtype=np.int64) * 1_000_000 - 5 * 86_400_000_000
+    times[2 * _WRITE_CHUNK - 1] += 1
+    times[2 * _WRITE_CHUNK :] += 999_999
+    power = np.random.default_rng(12).uniform(0.0, 1e4, len(times))
+    assert_writes_as_the_reference(tmp_path, PowerSeries.from_arrays(times, power))
 
 
 # -- integer-microsecond synthesis --------------------------------------------
