@@ -12,6 +12,7 @@ from .emissions import (
     lifetime_emissions,
     output_efficiency,
     recommended_objective,
+    run_intensity,
     scope2_emissions,
 )
 from .errors import DataFormatError, DomainError, WattplanError

@@ -25,6 +25,7 @@ from .emissions import (
     embodied_from_dict,
     lifetime_emissions,
     recommended_objective,
+    run_intensity,
 )
 from .errors import DataFormatError, DomainError
 from .freq_policy import FleetRatios, JobMix, PolicyRule, fleet_ratios, load_benchmark_table
@@ -239,15 +240,7 @@ def _cmd_emissions(args: argparse.Namespace) -> int:
     energy_kwh = args.power_kw * args.hours
     breakdown = lifetime_emissions(args.power_kw, args.hours, profile, embodied)
 
-    if profile.is_constant:
-        mean_intensity = profile.constant_g_per_kwh
-    else:
-        anchor = profile.start_time()
-        end = anchor + timedelta(hours=args.hours)
-        # a window shorter than datetime's 1 us step holds the anchor's intensity
-        mean_intensity = (
-            profile.mean_intensity(anchor, end) if end > anchor else profile.intensity_at(anchor)
-        )
+    mean_intensity = run_intensity(profile, args.hours)
     scenario = classify_scenario(mean_intensity)
     objective = recommended_objective(scenario)
 

@@ -1,18 +1,18 @@
-"""Access to the data files bundled with the package, the JSON input
-boundary every loader goes through, and the reader every CSV loader opens its
-file with.
+"""Access to the data files bundled with the package, and the two input
+boundaries every loader goes through: one for JSON and one for CSV.
 
-The boundary checks JSON type and shape only: a value of the wrong type, a
+The JSON boundary checks type and shape only: a value of the wrong type, a
 missing or unknown field, or a file that is not JSON raises DataFormatError.
-Whether a well-typed value is in range is left to the dataclass it builds,
-which raises DomainError.
+The CSV boundary, csv_records, checks the header and each record's field
+count, skips blank records and numbers each record by the physical line it
+starts on. Converting a cell is left to each loader, and whether a value is in
+range to the loader or the dataclass it builds, which raises DomainError.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from contextlib import contextmanager
 from importlib.resources import files
 from pathlib import Path
 
@@ -51,15 +51,34 @@ def read_json(path: str | Path):
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
 
 
-@contextmanager
-def csv_rows(path: str | Path):
-    """A csv.reader over a UTF-8 file. A byte that is not UTF-8, or a line the
-    reader rejects (such as a field over csv's size limit), met while the rows
-    are read, raises DataFormatError naming the file."""
+def csv_records(path: str | Path, header: list[str]):
+    """The records of a UTF-8 CSV file whose first record is header, as
+    (line, row) pairs: line is the physical line the record starts on, which
+    is not the record's index once a quoted field holds a newline. Blank
+    records are skipped; every other record has one field per header column.
+
+    A wrong header or field count, a byte that is not UTF-8, or a line the
+    reader rejects (such as a field over csv's size limit) raises
+    DataFormatError naming the file and, past the header, the line.
+    """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
-            yield reader
+            first = next(reader, None)
+            if first != header:
+                raise DataFormatError(
+                    f"{path}: expected header {','.join(header)!r}, got {first!r}"
+                )
+            width = len(header)
+            line = reader.line_num + 1
+            for row in reader:
+                if row:
+                    if len(row) != width:
+                        raise DataFormatError(
+                            f"{path}: line {line}: expected {width} fields, got {len(row)}"
+                        )
+                    yield line, row
+                line = reader.line_num + 1
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
         except csv.Error as exc:

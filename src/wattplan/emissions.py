@@ -10,7 +10,7 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
 
-from .datafiles import check_fields, csv_rows, number
+from .datafiles import check_fields, csv_records, number
 from .errors import DataFormatError, DomainError
 from .timestamps import format_timestamp, parse_timestamp
 
@@ -122,36 +122,29 @@ class CarbonIntensityProfile:
     def from_csv(cls, path: str | Path) -> "CarbonIntensityProfile":
         """Load a series profile from CSV with header timestamp,intensity_g_per_kwh."""
         points: list[tuple[datetime, float]] = []
-        with csv_rows(path) as reader:
-            header = next(reader, None)
-            if header != ["timestamp", "intensity_g_per_kwh"]:
+        # raised after the rows, so that a malformed row anywhere is named first
+        disorder = None
+        for line, (stamp, text) in csv_records(path, ["timestamp", "intensity_g_per_kwh"]):
+            try:
+                ts = parse_timestamp(stamp)
+            except DataFormatError as exc:
+                raise DataFormatError(f"{path}: line {line}: {exc}") from None
+            try:
+                value = float(text)
+            except ValueError:
                 raise DataFormatError(
-                    f"{path}: expected header 'timestamp,intensity_g_per_kwh', got {header!r}"
+                    f"{path}: line {line}: intensity is not a number: {text!r}"
+                ) from None
+            if points and ts <= points[-1][0] and disorder is None:
+                disorder = DataFormatError(
+                    f"{path}: line {line}: timestamps not strictly increasing "
+                    f"({points[-1][0]} then {ts})"
                 )
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise DataFormatError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-                try:
-                    ts = parse_timestamp(row[0])
-                except DataFormatError as exc:
-                    raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
-                try:
-                    value = float(row[1])
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: line {lineno}: intensity is not a number: {row[1]!r}"
-                    ) from None
-                points.append((ts, value))
+            points.append((ts, value))
+        if disorder is not None:
+            raise disorder
         if not points:
             raise DataFormatError(f"{path}: no intensity rows found")
-        for lineno, ((t_prev, _), (t_next, _)) in enumerate(zip(points, points[1:]), start=3):
-            if t_next <= t_prev:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: timestamps not strictly increasing "
-                    f"({t_prev} then {t_next})"
-                )
         return cls.from_series(points)
 
     @property
@@ -259,6 +252,29 @@ def amortized_scope3(embodied: EmbodiedEmissions, duration_hours: float) -> floa
 _EPOCH = datetime(2000, 1, 1, tzinfo=timezone.utc)
 
 
+def run_intensity(
+    profile: CarbonIntensityProfile, duration_hours: float, start: datetime | None = None
+) -> float:
+    """Mean intensity over a run of duration_hours from start (default: the
+    start of a series profile, or 2000-01-01 for a constant one).
+
+    A run shorter than datetime's 1 µs step holds the intensity at its start.
+    """
+    if not (math.isfinite(duration_hours) and duration_hours >= 0):
+        raise DomainError(f"duration must be >= 0 hours, got {duration_hours}")
+    anchor = start if start is not None else (profile.start_time() or _EPOCH)
+    try:
+        end = anchor + timedelta(hours=duration_hours)
+    except OverflowError:
+        raise DomainError(
+            f"duration must end by the year 9999, got {duration_hours} hours "
+            f"from {format_timestamp(anchor)}"
+        ) from None
+    if end == anchor:
+        return profile.intensity_at(anchor)
+    return profile.mean_intensity(anchor, end)
+
+
 def lifetime_emissions(
     mean_power_kw: float,
     duration_hours: float,
@@ -268,30 +284,17 @@ def lifetime_emissions(
 ) -> EmissionsBreakdown:
     """Scope-2 plus amortized scope-3 emissions for a run at constant mean power.
 
-    For a series profile the energy is anchored at `start` (default: the start
-    of the series). With `embodied=None` the result is scope-2 only: scope-3
-    is exactly 0.0 and the total equals scope-2.
+    Scope 2 prices the run's energy at run_intensity(profile, duration_hours,
+    start). With `embodied=None` the result is scope-2 only: scope-3 is
+    exactly 0.0 and the total equals scope-2.
     """
     if not (math.isfinite(mean_power_kw) and mean_power_kw >= 0):
         raise DomainError(f"mean power must be >= 0 kW, got {mean_power_kw}")
-    if not (math.isfinite(duration_hours) and duration_hours >= 0):
-        raise DomainError(f"duration must be >= 0 hours, got {duration_hours}")
-    anchor = start if start is not None else (profile.start_time() or _EPOCH)
-    try:
-        interval = (anchor, anchor + timedelta(hours=duration_hours))
-    except OverflowError:
-        raise DomainError(
-            f"duration must end by the year 9999, got {duration_hours} hours "
-            f"from {format_timestamp(anchor)}"
-        ) from None
+    intensity = run_intensity(profile, duration_hours, start)
     energy_kwh = mean_power_kw * duration_hours
-    if energy_kwh == 0 or duration_hours == 0:
-        scope2 = 0.0
-    elif interval[1] == interval[0]:
-        # shorter than datetime's 1 µs step: the intensity at the anchor holds
-        scope2 = energy_kwh * profile.intensity_at(anchor) / 1000.0
-    else:
-        scope2 = scope2_emissions([(interval, energy_kwh)], profile)
+    if math.isinf(energy_kwh):
+        raise DomainError(f"interval energy must be >= 0 kWh, got {energy_kwh}")
+    scope2 = energy_kwh * intensity / 1000.0
     scope3 = 0.0 if embodied is None else amortized_scope3(embodied, duration_hours)
     return EmissionsBreakdown.of_parts(scope2, scope3)
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .datafiles import check_object, csv_rows, number
+from .datafiles import check_object, csv_records, number
 from .errors import DataFormatError, DomainError
 
 
@@ -218,46 +218,36 @@ def load_benchmark_table(path: str | Path) -> list[AppBenchmark]:
     rejected.
     """
     records: list[AppBenchmark] = []
-    with csv_rows(path) as reader:
-        header = next(reader, None)
-        if header != _HEADER:
+    for line, row in csv_records(path, _HEADER):
+        app_name, nodes_text, intervention_text, perf_text, energy_text = row
+        try:
+            nodes = int(nodes_text)
+        except ValueError:
             raise DataFormatError(
-                f"{path}: expected header {','.join(_HEADER)!r}, got {header!r}"
+                f"{path}: line {line}: nodes is not an integer: {nodes_text!r}"
+            ) from None
+        try:
+            intervention = Intervention(intervention_text)
+        except ValueError:
+            raise DataFormatError(
+                f"{path}: line {line}: unknown intervention {intervention_text!r}"
+            ) from None
+        try:
+            perf_ratio = float(perf_text)
+            energy_ratio = float(energy_text)
+        except ValueError:
+            raise DataFormatError(
+                f"{path}: line {line}: ratios must be numbers: {perf_text!r}, {energy_text!r}"
+            ) from None
+        records.append(
+            AppBenchmark(
+                app_name=app_name,
+                nodes=nodes,
+                intervention=intervention,
+                perf_ratio=perf_ratio,
+                energy_ratio=energy_ratio,
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise DataFormatError(f"{path}: line {lineno}: expected 5 fields, got {len(row)}")
-            app_name, nodes_text, intervention_text, perf_text, energy_text = row
-            try:
-                nodes = int(nodes_text)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: nodes is not an integer: {nodes_text!r}"
-                ) from None
-            try:
-                intervention = Intervention(intervention_text)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: unknown intervention {intervention_text!r}"
-                ) from None
-            try:
-                perf_ratio = float(perf_text)
-                energy_ratio = float(energy_text)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: ratios must be numbers: {perf_text!r}, {energy_text!r}"
-                ) from None
-            records.append(
-                AppBenchmark(
-                    app_name=app_name,
-                    nodes=nodes,
-                    intervention=intervention,
-                    perf_ratio=perf_ratio,
-                    energy_ratio=energy_ratio,
-                )
-            )
+        )
     seen: set[tuple[str, Intervention]] = set()
     for record in records:
         key = (record.app_name, record.intervention)

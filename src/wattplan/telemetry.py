@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .datafiles import csv_rows
+from .datafiles import csv_records
 from .errors import DataFormatError, DomainError
 from .timestamps import format_timestamp, parse_timestamp
 
@@ -341,36 +341,26 @@ def _parse_rows(path: str | Path) -> PowerSeries:
     """Row-by-row parse of any file parse_series accepts; the source of every error."""
     timestamps: list[datetime] = []
     values: list[float] = []
-    with csv_rows(path) as reader:
-        header = next(reader, None)
-        if header != ["timestamp", "power_kw"]:
-            raise DataFormatError(f"{path}: expected header 'timestamp,power_kw', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataFormatError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            try:
-                ts = parse_timestamp(row[0])
-            except DataFormatError as exc:
-                raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
-            try:
-                value = float(row[1])
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: power is not a number: {row[1]!r}"
-                ) from None
-            if not math.isfinite(value) or value < 0:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: power must be finite and >= 0 kW, got {row[1]!r}"
-                )
-            if timestamps and ts <= timestamps[-1]:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: timestamps out of order "
-                    f"({format_timestamp(timestamps[-1])} then {format_timestamp(ts)})"
-                )
-            timestamps.append(ts)
-            values.append(value)
+    for line, (stamp, text) in csv_records(path, ["timestamp", "power_kw"]):
+        try:
+            ts = parse_timestamp(stamp)
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path}: line {line}: {exc}") from None
+        try:
+            value = float(text)
+        except ValueError:
+            raise DataFormatError(f"{path}: line {line}: power is not a number: {text!r}") from None
+        if not math.isfinite(value) or value < 0:
+            raise DataFormatError(
+                f"{path}: line {line}: power must be finite and >= 0 kW, got {text!r}"
+            )
+        if timestamps and ts <= timestamps[-1]:
+            raise DataFormatError(
+                f"{path}: line {line}: timestamps out of order "
+                f"({format_timestamp(timestamps[-1])} then {format_timestamp(ts)})"
+            )
+        timestamps.append(ts)
+        values.append(value)
     return PowerSeries.from_arrays(_utc_micros(timestamps), values)
 
 

@@ -404,7 +404,8 @@ def test_synth_rejects_non_finite_or_huge_segment_fields(capsys, tmp_path, field
 
 
 @pytest.mark.parametrize("source", ["--intensity", "--profile"])
-@pytest.mark.parametrize("power", ["1", "0"])
+# 1e308 kW for 1e20 h is an infinite energy too; the duration is named first
+@pytest.mark.parametrize("power", ["1", "0", "1e308"])
 def test_emissions_rejects_hours_past_the_datetime_range(capsys, tmp_path, source, power):
     value = "50"
     if source == "--profile":
@@ -660,6 +661,38 @@ def test_csv_readers_reject_bytes_that_are_not_utf8(capsys, tmp_path, argv, name
     code, out, err = _run(capsys, *[path if arg == "FILE" else arg for arg in argv])
     _assert_rejected(code, out, err, 2)
     assert err.startswith(f"error: {path}: not UTF-8 text: ")
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize(
+    "argv,name,text,message",
+    [
+        # a quoted power that holds a newline spans lines 3 and 4
+        (["telemetry", "FILE", "--detect"], "series.csv",
+         'timestamp,power_kw\n2022-01-01T00:00:00Z,1\n"2022-01-01T00:01:00Z","2\n"\n'
+         "2022-01-01T00:02:00Z,x\n",
+         "line 5: power is not a number: 'x'"),
+        # a quoted app name that holds a newline spans lines 2 and 3
+        (["policy", "FILE"], "table.csv",
+         "app_name,nodes,intervention,perf_ratio,energy_ratio\n"
+         '"a\nb",4,freq_cap_2000,0.9,0.9\nc,x,freq_cap_2000,0.9,0.9\n',
+         "line 4: nodes is not an integer: 'x'"),
+        # blank lines 3 and 4 sit between the first two rows
+        (["emissions", "--profile", "FILE", "--power-kw", "1", "--hours", "1"], "profile.csv",
+         "timestamp,intensity_g_per_kwh\n2022-01-01T00:00:00Z,10\n\n\n"
+         "2022-01-01T01:00:00Z,20\n2022-01-01T00:30:00Z,30\n",
+         "line 6: timestamps not strictly increasing "
+         "(2022-01-01 01:00:00+00:00 then 2022-01-01 00:30:00+00:00)"),
+    ],
+    ids=["telemetry", "policy", "emissions-profile"],
+)
+def test_csv_errors_name_the_physical_line(capsys, tmp_path, fmt, argv, name, text, message):
+    path = str(tmp_path / name)
+    Path(path).write_text(text)
+    argv = [path if arg == "FILE" else arg for arg in argv]
+    code, out, err = _run(capsys, *argv, "--format", fmt)
+    _assert_rejected(code, out, err, 2)
+    assert err == f"error: {path}: {message}\n"
 
 
 # -- numpy stays out of the subcommands that use no series ---------------------

@@ -196,6 +196,8 @@ HOSTILE_CELLS = [
     # stamps outside the years 1 to 9999, as written and in UTC
     "0000-01-01T00:00:00Z", "10000-01-01T00:00:00Z", "-0001-01-01T00:00:00Z",
     "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00", "9999-12-31T23:59:59Z",
+    # a quoted cell that holds a newline: one record over two lines
+    "\"1\n2\"",
 ]
 
 

@@ -39,7 +39,10 @@ UTC = timezone.utc
 
 
 def reference_parse(path):
-    """parse_series as it was before the fast path: (timestamps, values) tuples."""
+    """parse_series as it was before the fast path: (timestamps, values) tuples.
+
+    It numbers records, not lines, so a file with a quoted newline is outside
+    its domain; the strategies below generate none."""
     timestamps = []
     values = []
     with open(path, newline="", encoding="utf-8") as handle:
