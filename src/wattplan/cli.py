@@ -19,11 +19,13 @@ from datetime import timedelta
 from pathlib import Path
 
 from .datafiles import check_fields, integer, number, read_json, resolve_input_path, string
+from .datafiles import to_json
 from .emissions import (
     CarbonIntensityProfile,
+    check_mean_power,
     classify_scenario,
     embodied_from_dict,
-    lifetime_emissions,
+    priced_emissions,
     recommended_objective,
     run_intensity,
 )
@@ -54,8 +56,9 @@ def _pct(fraction: float) -> str:
 
 
 def _emit_json(doc: dict) -> None:
+    """Print doc through to_json, so that it may hold results, enums and datetimes."""
     try:
-        text = json.dumps(doc, indent=2, allow_nan=False)
+        text = json.dumps(to_json(doc), indent=2, allow_nan=False)
     except ValueError as exc:
         raise DomainError(f"a result is not finite ({exc})") from None
     print(text)
@@ -99,14 +102,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
         model = apply_power_factor(model, name, value, mode)
     breakdown = system_power(model, args.utilization)
     if args.format == "json":
-        _emit_json(
-            {
-                "model": model.name,
-                "utilization": args.utilization,
-                "per_component": breakdown.per_component,
-                "total_kw": breakdown.total_kw,
-            }
-        )
+        _emit_json({"model": model.name, "utilization": args.utilization, **to_json(breakdown)})
     else:
         print(_breakdown_table(breakdown.per_component, breakdown.total_kw))
     return 0
@@ -131,19 +127,10 @@ def _cmd_policy(args: argparse.Namespace) -> int:
 
 
 def _policy_doc(threshold: float, weights: dict[str, float], fleet: FleetRatios) -> dict:
+    """The threshold first and each decision with its weight, then the ratios."""
     return {
         "threshold": threshold,
-        "decisions": [
-            {
-                "app_name": d.app_name,
-                "default_setting": d.default_setting.value,
-                "reverted": d.reverted,
-                "perf_loss": d.perf_loss,
-                "energy_saving": d.energy_saving,
-                "weight": weights[d.app_name],
-            }
-            for d in fleet.decisions
-        ],
+        "decisions": [{**to_json(d), "weight": weights[d.app_name]} for d in fleet.decisions],
         "fleet_power_ratio": fleet.fleet_power_ratio,
         "fleet_throughput_ratio": fleet.fleet_throughput_ratio,
     }
@@ -170,9 +157,10 @@ def _policy_table(weights: dict[str, float], fleet: FleetRatios) -> str:
 
 
 def _window_doc(stats) -> dict:
+    """A window, whose sample count the document calls samples."""
     return {
-        "start": format_timestamp(stats.start),
-        "end": format_timestamp(stats.end),
+        "start": stats.start,
+        "end": stats.end,
         "samples": stats.count,
         "mean_kw": stats.mean_kw,
         "stddev_kw": stats.stddev_kw,
@@ -196,17 +184,16 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         change_time = parse_timestamp(args.change_time)
     report = intervention_impact(series, change_time, gap)
     if args.format == "json":
-        doc = {"change_time": format_timestamp(report.change_time)}
-        if score is not None:
-            doc["score"] = score
-        doc.update(
-            {
-                "before": _window_doc(report.before),
-                "after": _window_doc(report.after),
-                "delta_kw": report.delta_kw,
-                "pct_change": report.pct_change,
-            }
-        )
+        doc = {
+            "change_time": report.change_time,
+            "score": score,
+            "before": _window_doc(report.before),
+            "after": _window_doc(report.after),
+            "delta_kw": report.delta_kw,
+            "pct_change": report.pct_change,
+        }
+        if score is None:
+            del doc["score"]
         _emit_json(doc)
     else:
         pairs = [("change_time", format_timestamp(report.change_time))]
@@ -238,42 +225,33 @@ def _cmd_emissions(args: argparse.Namespace) -> int:
         path = resolve_input_path(args.embodied)
         embodied = embodied_from_dict(read_json(path), str(path))
     energy_kwh = args.power_kw * args.hours
-    breakdown = lifetime_emissions(args.power_kw, args.hours, profile, embodied)
-
+    # the power is named first when several inputs are out of range
+    check_mean_power(args.power_kw)
     mean_intensity = run_intensity(profile, args.hours)
+    breakdown = priced_emissions(args.power_kw, args.hours, mean_intensity, embodied)
     scenario = classify_scenario(mean_intensity)
     objective = recommended_objective(scenario)
-
+    doc = to_json(
+        {
+            "mean_intensity_g_per_kwh": mean_intensity,
+            "scenario": scenario,
+            "objective": objective,
+            "energy_kwh": energy_kwh,
+            "scope2_kg": breakdown.scope2_kg,
+            "scope3_kg": breakdown.scope3_kg,
+            "scope3_unset": embodied is None,
+            "total_kg": breakdown.total_kg,
+        }
+    )
     if args.format == "json":
-        _emit_json(
-            {
-                "mean_intensity_g_per_kwh": mean_intensity,
-                "scenario": scenario.value,
-                "objective": objective.value,
-                "energy_kwh": energy_kwh,
-                "scope2_kg": breakdown.scope2_kg,
-                "scope3_kg": breakdown.scope3_kg,
-                "scope3_unset": embodied is None,
-                "total_kg": breakdown.total_kg,
-            }
-        )
+        _emit_json(doc)
     else:
-        scope3_text = _kw(breakdown.scope3_kg)
-        if embodied is None:
-            scope3_text += " (embodied unset)"
-        print(
-            _kv_table(
-                [
-                    ("mean_intensity_g_per_kwh", _kw(mean_intensity)),
-                    ("scenario", scenario.value),
-                    ("objective", objective.value),
-                    ("energy_kwh", _kw(energy_kwh)),
-                    ("scope2_kg", _kw(breakdown.scope2_kg)),
-                    ("scope3_kg", scope3_text),
-                    ("total_kg", _kw(breakdown.total_kg)),
-                ]
-            )
-        )
+        # the table is the document with its numbers to 1 decimal and the flag as a note
+        unset = doc.pop("scope3_unset")
+        text = {key: value if isinstance(value, str) else _kw(value) for key, value in doc.items()}
+        if unset:
+            text["scope3_kg"] += " (embodied unset)"
+        print(_kv_table(list(text.items())))
     return 0
 
 
@@ -317,22 +295,17 @@ def _sweep_table(runs) -> str:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = load_scenario_config(resolve_input_path(args.config_file))
-    if args.sweep:
+    if args.sweep is not None:
         try:
             thresholds = [float(part) for part in args.sweep.split(",") if part != ""]
         except ValueError:
+            thresholds = []
+        if not thresholds:
             raise DomainError(f"--sweep must be a comma-separated list of numbers: {args.sweep!r}")
         runs = sweep_threshold(config, thresholds)
         if args.format == "json":
-            _emit_json(
-                {
-                    "scenario": config.name,
-                    "sweep": [
-                        {"threshold": threshold, **result_to_dict(result)}
-                        for threshold, result in runs
-                    ],
-                }
-            )
+            sweep = [{"threshold": t, **result_to_dict(result)} for t, result in runs]
+            _emit_json({"scenario": config.name, "sweep": sweep})
         else:
             print(_sweep_table(runs))
     else:

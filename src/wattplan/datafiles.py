@@ -1,5 +1,6 @@
-"""Access to the data files bundled with the package, and the two input
-boundaries every loader goes through: one for JSON and one for CSV.
+"""Access to the data files bundled with the package, the two input
+boundaries every loader goes through (one for JSON and one for CSV), and the
+one JSON encoder every output document goes through.
 
 The JSON boundary checks type and shape only: a value of the wrong type, a
 missing or unknown field, or a file that is not JSON raises DataFormatError.
@@ -7,16 +8,25 @@ The CSV boundary, csv_records, checks the header and each record's field
 count, skips blank records and numbers each record by the physical line it
 starts on. Converting a cell is left to each loader, and whether a value is in
 range to the loader or the dataclass it builds, which raises DomainError.
+
+The encoder, to_json, works recursively: a dataclass becomes an object of its
+fields in declaration order, an enum its value, a datetime format_timestamp's
+text, a tuple or list an array and a dict an object. Anything else is returned
+unchanged.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields, is_dataclass
+from datetime import datetime
+from enum import Enum
 from importlib.resources import files
 from pathlib import Path
 
 from .errors import DataFormatError
+from .timestamps import format_timestamp
 
 BUILTIN_PREFIX = "builtin:"
 
@@ -139,3 +149,18 @@ def integer(doc: dict, key: str, where: str) -> int:
 
 def string(doc: dict, key: str, where: str, default: str | None = None) -> str:
     return _field(doc, key, where, str, "a string", default)
+
+
+def to_json(value):
+    """The JSON form of value, by the rules in the module docstring."""
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, datetime):
+        return format_timestamp(value)
+    if isinstance(value, (tuple, list)):
+        return [to_json(item) for item in value]
+    if isinstance(value, dict):
+        return {key: to_json(item) for key, item in value.items()}
+    return value

@@ -135,6 +135,10 @@ class CarbonIntensityProfile:
                 raise DataFormatError(
                     f"{path}: line {line}: intensity is not a number: {text!r}"
                 ) from None
+            if not (math.isfinite(value) and value >= 0):
+                raise DomainError(
+                    f"{path}: line {line}: intensity must be finite and >= 0 g/kWh, got {text!r}"
+                )
             if points and ts <= points[-1][0] and disorder is None:
                 disorder = DataFormatError(
                     f"{path}: line {line}: timestamps not strictly increasing "
@@ -275,6 +279,33 @@ def run_intensity(
     return profile.mean_intensity(anchor, end)
 
 
+def check_mean_power(mean_power_kw: float) -> None:
+    if not (math.isfinite(mean_power_kw) and mean_power_kw >= 0):
+        raise DomainError(f"mean power must be >= 0 kW, got {mean_power_kw}")
+
+
+def priced_emissions(
+    mean_power_kw: float,
+    duration_hours: float,
+    intensity: float,
+    embodied: EmbodiedEmissions | None,
+) -> EmissionsBreakdown:
+    """Scope-2 plus amortized scope-3 emissions for a run at constant mean power,
+    its energy priced at one mean intensity in g/kWh. With `embodied=None` the
+    result is scope-2 only: scope-3 is exactly 0.0 and the total equals scope-2."""
+    check_mean_power(mean_power_kw)
+    if not (math.isfinite(duration_hours) and duration_hours >= 0):
+        raise DomainError(f"duration must be >= 0 hours, got {duration_hours}")
+    if not (math.isfinite(intensity) and intensity >= 0):
+        raise DomainError(f"carbon intensity must be >= 0 g/kWh, got {intensity}")
+    energy_kwh = mean_power_kw * duration_hours
+    if math.isinf(energy_kwh):
+        raise DomainError(f"interval energy must be >= 0 kWh, got {energy_kwh}")
+    scope2 = energy_kwh * intensity / 1000.0
+    scope3 = 0.0 if embodied is None else amortized_scope3(embodied, duration_hours)
+    return EmissionsBreakdown.of_parts(scope2, scope3)
+
+
 def lifetime_emissions(
     mean_power_kw: float,
     duration_hours: float,
@@ -282,21 +313,11 @@ def lifetime_emissions(
     embodied: EmbodiedEmissions | None,
     start: datetime | None = None,
 ) -> EmissionsBreakdown:
-    """Scope-2 plus amortized scope-3 emissions for a run at constant mean power.
-
-    Scope 2 prices the run's energy at run_intensity(profile, duration_hours,
-    start). With `embodied=None` the result is scope-2 only: scope-3 is
-    exactly 0.0 and the total equals scope-2.
-    """
-    if not (math.isfinite(mean_power_kw) and mean_power_kw >= 0):
-        raise DomainError(f"mean power must be >= 0 kW, got {mean_power_kw}")
+    """priced_emissions at run_intensity(profile, duration_hours, start); the
+    mean power is checked before the run's intensity is looked up."""
+    check_mean_power(mean_power_kw)
     intensity = run_intensity(profile, duration_hours, start)
-    energy_kwh = mean_power_kw * duration_hours
-    if math.isinf(energy_kwh):
-        raise DomainError(f"interval energy must be >= 0 kWh, got {energy_kwh}")
-    scope2 = energy_kwh * intensity / 1000.0
-    scope3 = 0.0 if embodied is None else amortized_scope3(embodied, duration_hours)
-    return EmissionsBreakdown.of_parts(scope2, scope3)
+    return priced_emissions(mean_power_kw, duration_hours, intensity, embodied)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
-from .datafiles import check_fields, integer, number, read_json, string
+from .datafiles import check_fields, integer, number, read_json, string, to_json
 from .errors import DataFormatError, DomainError
 
 
@@ -160,19 +160,11 @@ _COMPONENT_FIELDS = ("name", "count", "idle_kw_per_unit", "loaded_kw_per_unit", 
 
 
 def model_to_dict(model: SystemModel) -> dict:
+    """JSON view of a model; as in the bundled files, compute_component precedes components."""
     return {
         "name": model.name,
         "compute_component": model.compute_component,
-        "components": [
-            {
-                "name": c.name,
-                "count": c.count,
-                "idle_kw_per_unit": c.idle_kw_per_unit,
-                "loaded_kw_per_unit": c.loaded_kw_per_unit,
-                "load_response": c.load_response.value,
-            }
-            for c in model.components
-        ],
+        "components": to_json(model.components),
     }
 
 

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .datafiles import check_fields, check_object, number, read_json, string
+from .datafiles import check_fields, check_object, number, read_json, string, to_json
 from .emissions import (
     CarbonIntensityProfile,
     EmbodiedEmissions,
@@ -245,28 +245,16 @@ def load_scenario_config(path: str | Path) -> ScenarioConfig:
 
 
 def result_to_dict(result: ScenarioResult) -> dict:
-    """JSON-serializable view of a scenario result."""
+    """JSON view of a scenario result. Unlike to_json(result), it lifts the
+    component draws to the top, puts the scope-3 flag in the emissions and the
+    duration after the energy."""
     return {
         "name": result.name,
         "mean_power_kw": result.mean_power_kw,
         "per_component": dict(result.breakdown.per_component),
         "energy_kwh": result.energy_kwh,
         "duration_hours": result.duration_hours,
-        "emissions": {
-            "scope2_kg": result.emissions.scope2_kg,
-            "scope3_kg": result.emissions.scope3_kg,
-            "total_kg": result.emissions.total_kg,
-            "scope3_unset": result.scope3_unset,
-        },
+        "emissions": {**to_json(result.emissions), "scope3_unset": result.scope3_unset},
         "throughput_index": result.throughput_index,
-        "decisions": [
-            {
-                "app_name": d.app_name,
-                "default_setting": d.default_setting.value,
-                "reverted": d.reverted,
-                "perf_loss": d.perf_loss,
-                "energy_saving": d.energy_saving,
-            }
-            for d in result.decisions
-        ],
+        "decisions": to_json(result.decisions),
     }

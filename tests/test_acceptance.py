@@ -287,6 +287,24 @@ def _random_system_model(rng: random.Random) -> SystemModel:
     return SystemModel("random", tuple(components), components[rng.randrange(n)].name)
 
 
+def _reference_model_dict(model: SystemModel) -> dict:
+    """model_to_dict as it was written out field by field before to_json."""
+    return {
+        "name": model.name,
+        "compute_component": model.compute_component,
+        "components": [
+            {
+                "name": c.name,
+                "count": c.count,
+                "idle_kw_per_unit": c.idle_kw_per_unit,
+                "loaded_kw_per_unit": c.loaded_kw_per_unit,
+                "load_response": c.load_response.value,
+            }
+            for c in model.components
+        ],
+    }
+
+
 def test_criterion_09_property_suites():
     started = time.perf_counter()
     rng = random.Random(20221201)
@@ -352,9 +370,11 @@ def test_criterion_09_property_suites():
         assert runs[0][1].energy_kwh >= runs[1][1].energy_kwh - 1e-9
         assert runs[0][1].throughput_index >= runs[1][1].throughput_index - 1e-9
 
-    for _ in range(1000):  # model JSON round-trip
+    for _ in range(1000):  # model JSON round-trip, in the reference serializer's bytes
         model = _random_system_model(rng)
-        assert model_from_dict(json.loads(json.dumps(model_to_dict(model)))) == model
+        text = json.dumps(model_to_dict(model), indent=2)
+        assert text == json.dumps(_reference_model_dict(model), indent=2)
+        assert model_from_dict(json.loads(text)) == model
 
     elapsed = time.perf_counter() - started
     ok = elapsed < 60.0

@@ -286,6 +286,16 @@ def test_simulate_sweep_ordered_monotone(capsys):
     assert all(a >= b - 1e-9 for a, b in zip(energies, energies[1:]))
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("sweep", ["", ",", "0.1,x"], ids=["empty", "comma", "not-a-number"])
+def test_simulate_sweep_must_list_numbers(capsys, fmt, sweep):
+    code, out, err = _run(
+        capsys, "simulate", "builtin:stacked_scenario.json", "--sweep", sweep, "--format", fmt
+    )
+    _assert_rejected(code, out, err, 1)
+    assert err == f"error: --sweep must be a comma-separated list of numbers: {sweep!r}\n"
+
+
 def test_simulate_table_output(capsys):
     code, out, _ = _run(capsys, "simulate", "builtin:stacked_scenario.json")
     assert code == 0
@@ -663,35 +673,51 @@ def test_csv_readers_reject_bytes_that_are_not_utf8(capsys, tmp_path, argv, name
     assert err.startswith(f"error: {path}: not UTF-8 text: ")
 
 
+PROFILE_ARGV = ["emissions", "--profile", "FILE", "--power-kw", "1", "--hours", "1"]
+
+
 @pytest.mark.parametrize("fmt", ["table", "json"])
 @pytest.mark.parametrize(
-    "argv,name,text,message",
+    "argv,name,text,exit_code,message",
     [
         # a quoted power that holds a newline spans lines 3 and 4
         (["telemetry", "FILE", "--detect"], "series.csv",
          'timestamp,power_kw\n2022-01-01T00:00:00Z,1\n"2022-01-01T00:01:00Z","2\n"\n'
          "2022-01-01T00:02:00Z,x\n",
-         "line 5: power is not a number: 'x'"),
+         2, "line 5: power is not a number: 'x'"),
         # a quoted app name that holds a newline spans lines 2 and 3
         (["policy", "FILE"], "table.csv",
          "app_name,nodes,intervention,perf_ratio,energy_ratio\n"
          '"a\nb",4,freq_cap_2000,0.9,0.9\nc,x,freq_cap_2000,0.9,0.9\n',
-         "line 4: nodes is not an integer: 'x'"),
+         2, "line 4: nodes is not an integer: 'x'"),
         # blank lines 3 and 4 sit between the first two rows
-        (["emissions", "--profile", "FILE", "--power-kw", "1", "--hours", "1"], "profile.csv",
+        (PROFILE_ARGV, "profile.csv",
          "timestamp,intensity_g_per_kwh\n2022-01-01T00:00:00Z,10\n\n\n"
          "2022-01-01T01:00:00Z,20\n2022-01-01T00:30:00Z,30\n",
-         "line 6: timestamps not strictly increasing "
+         2, "line 6: timestamps not strictly increasing "
          "(2022-01-01 01:00:00+00:00 then 2022-01-01 00:30:00+00:00)"),
+        # an intensity out of range is a domain error, as `--intensity -5` is;
+        # it is named before the disorder on line 3
+        (PROFILE_ARGV, "profile.csv",
+         "timestamp,intensity_g_per_kwh\n2022-01-01T01:00:00Z,10\n"
+         "2022-01-01T00:30:00Z,20\n2022-01-01T02:00:00Z,-5\n",
+         1, "line 4: intensity must be finite and >= 0 g/kWh, got '-5'"),
+        # line 3 is blank
+        (PROFILE_ARGV, "profile.csv",
+         "timestamp,intensity_g_per_kwh\n2022-01-01T00:00:00Z,10\n\n"
+         "2022-01-01T01:00:00Z,nan\n",
+         1, "line 4: intensity must be finite and >= 0 g/kWh, got 'nan'"),
     ],
-    ids=["telemetry", "policy", "emissions-profile"],
+    ids=["telemetry", "policy", "emissions-profile", "profile-negative", "profile-nan"],
 )
-def test_csv_errors_name_the_physical_line(capsys, tmp_path, fmt, argv, name, text, message):
+def test_csv_errors_name_the_physical_line(
+    capsys, tmp_path, fmt, argv, name, text, exit_code, message
+):
     path = str(tmp_path / name)
     Path(path).write_text(text)
     argv = [path if arg == "FILE" else arg for arg in argv]
     code, out, err = _run(capsys, *argv, "--format", fmt)
-    _assert_rejected(code, out, err, 2)
+    _assert_rejected(code, out, err, exit_code)
     assert err == f"error: {path}: {message}\n"
 
 
@@ -721,6 +747,17 @@ def planning_cycle(tmp_path_factory):
     work = tmp_path_factory.mktemp("planning")
     workloads.write_cli_inputs(work)
     return dict(workloads.CLI_CYCLE), work
+
+
+def test_series_calls_match_their_golden_files(planning_cycle):
+    cycle, work = planning_cycle
+    # synth writes the file that telemetry_detect reads
+    for label in ("synth", "telemetry_detect"):
+        proc = _child("from wattplan.cli import entrypoint; entrypoint()", *cycle[label], cwd=work)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == (PERFBENCH / "golden" / f"{label}.out").read_bytes()
+    digest = hashlib.sha256((work / "full_timeline.csv").read_bytes()).hexdigest()
+    assert digest == (PERFBENCH / "golden" / "synth.csv.sha256").read_text().strip()
 
 
 def test_importing_the_package_and_the_cli_leaves_numpy_out():

@@ -386,9 +386,37 @@ def test_result_dict_json_roundtrip(stacked_config):
     assert json.loads(text) == doc
 
 
+def _reference_result_dict(result):
+    """result_to_dict as it was written out field by field before to_json."""
+    return {
+        "name": result.name,
+        "mean_power_kw": result.mean_power_kw,
+        "per_component": dict(result.breakdown.per_component),
+        "energy_kwh": result.energy_kwh,
+        "duration_hours": result.duration_hours,
+        "emissions": {
+            "scope2_kg": result.emissions.scope2_kg,
+            "scope3_kg": result.emissions.scope3_kg,
+            "total_kg": result.emissions.total_kg,
+            "scope3_unset": result.scope3_unset,
+        },
+        "throughput_index": result.throughput_index,
+        "decisions": [
+            {
+                "app_name": d.app_name,
+                "default_setting": d.default_setting.value,
+                "reverted": d.reverted,
+                "perf_loss": d.perf_loss,
+                "energy_saving": d.energy_saving,
+            }
+            for d in result.decisions
+        ],
+    }
+
+
 def test_sweep_monotonicity_randomized():
     rng = random.Random(59)
-    for _ in range(50):
+    for case in range(50):
         n = rng.randint(2, 5)
         benchmarks = tuple(
             AppBenchmark(
@@ -400,10 +428,16 @@ def test_sweep_monotonicity_randomized():
         raw = [rng.random() + 0.01 for _ in range(n)]
         total = sum(raw)
         mix = JobMix({b.app_name: w / total for b, w in zip(benchmarks, raw)})
-        config = _tiny_config(benchmarks=benchmarks, mix=mix)
+        # every other case has embodied emissions, so both scope-3 forms are encoded
+        embodied = EmbodiedEmissions(1e6, 50_000.0) if case % 2 else None
+        config = _tiny_config(benchmarks=benchmarks, mix=mix, embodied=embodied)
         thresholds = sorted(rng.random() for _ in range(3))
         runs = sweep_threshold(config, thresholds)
         energies = [r.energy_kwh for _, r in runs]
         throughputs = [r.throughput_index for _, r in runs]
         assert all(a >= b - 1e-9 for a, b in zip(energies, energies[1:]))
         assert all(a >= b - 1e-9 for a, b in zip(throughputs, throughputs[1:]))
+        for _, result in runs:
+            assert json.dumps(result_to_dict(result), indent=2) == json.dumps(
+                _reference_result_dict(result), indent=2
+            )
