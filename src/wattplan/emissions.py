@@ -4,6 +4,7 @@ amortized scope-3 embodied emissions, plus output-efficiency metrics."""
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -100,15 +101,18 @@ class CarbonIntensityProfile:
         object.__setattr__(self, "series", tuple(self.series))
         if not self.series:
             raise DomainError("series profile must contain at least one entry")
-        for (t_prev, _), (t_next, _) in zip(self.series, self.series[1:]):
-            if t_next <= t_prev:
-                raise DomainError(
-                    f"series timestamps must be strictly increasing: {t_prev} then {t_next}"
-                )
-        for _, value in self.series:
-            if not (math.isfinite(value) and value >= 0):
-                raise DomainError(f"carbon intensity must be >= 0 g/kWh, got {value}")
-        object.__setattr__(self, "_times", tuple(t for t, _ in self.series))
+        # each check is a C-level pass; the loops only find the fault to name
+        times = tuple(map(operator.itemgetter(0), self.series))
+        values = tuple(map(operator.itemgetter(1), self.series))
+        if not all(map(operator.lt, times, times[1:])):
+            i = next(i for i in range(len(times)) if times[i + 1] <= times[i])
+            raise DomainError(
+                f"series timestamps must be strictly increasing: {times[i]} then {times[i + 1]}"
+            )
+        if not (all(map(math.isfinite, values)) and min(values) >= 0):
+            value = next(v for v in values if not (math.isfinite(v) and v >= 0))
+            raise DomainError(f"carbon intensity must be >= 0 g/kWh, got {value}")
+        object.__setattr__(self, "_times", times)
 
     @classmethod
     def constant(cls, g_per_kwh: float) -> "CarbonIntensityProfile":

@@ -707,8 +707,16 @@ PROFILE_ARGV = ["emissions", "--profile", "FILE", "--power-kw", "1", "--hours", 
          "timestamp,intensity_g_per_kwh\n2022-01-01T00:00:00Z,10\n\n"
          "2022-01-01T01:00:00Z,nan\n",
          1, "line 4: intensity must be finite and >= 0 g/kWh, got 'nan'"),
+        # so is a power out of range, in the file the vectorized parse would take
+        (["telemetry", "FILE", "--detect"], "series.csv",
+         "timestamp,power_kw\n2022-01-01T00:00:00Z,10\n2022-01-01T00:01:00Z,-5\n",
+         1, "line 3: power must be finite and >= 0 kW, got '-5'"),
+        (["telemetry", "FILE", "--detect"], "series.csv",
+         "timestamp,power_kw\n2022-01-01T00:00:00Z,10\n\n2022-01-01T00:01:00Z,nan\n",
+         1, "line 4: power must be finite and >= 0 kW, got 'nan'"),
     ],
-    ids=["telemetry", "policy", "emissions-profile", "profile-negative", "profile-nan"],
+    ids=["telemetry", "policy", "emissions-profile", "profile-negative", "profile-nan",
+         "telemetry-negative", "telemetry-nan"],
 )
 def test_csv_errors_name_the_physical_line(
     capsys, tmp_path, fmt, argv, name, text, exit_code, message

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from bisect import bisect_right
@@ -368,6 +369,42 @@ def test_profile_validation():
             CarbonIntensityProfile.constant(bad)
         with pytest.raises(DomainError):
             CarbonIntensityProfile.from_series([(T0, 10.0), (T0 + _hours(1), bad)])
+
+
+def reference_profile_fault(points):
+    """The message of the per-entry loops the profile checked with before its
+    C-level passes, or None: the first disorder, else the first bad value."""
+    for (t_prev, _), (t_next, _) in zip(points, points[1:]):
+        if t_next <= t_prev:
+            return f"series timestamps must be strictly increasing: {t_prev} then {t_next}"
+    for _, value in points:
+        if not (math.isfinite(value) and value >= 0):
+            return f"carbon intensity must be >= 0 g/kWh, got {value}"
+    return None
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        {}, {0: (None, -1.0)}, {5: (None, -0.0)}, {9: (None, math.nan)},
+        {3: (None, math.inf), 7: (None, -2.0)}, {0: (T0 + _hours(1), None)},
+        {4: (T0 + _hours(3), None)}, {9: (T0, None)},
+        # a disorder is named before a bad value that comes earlier
+        {2: (None, -1.0), 8: (T0, None)},
+        {2: (T0 + _hours(1), None), 6: (T0 + _hours(9), None)},
+    ],
+)
+def test_profile_names_its_first_fault_as_the_loops_did(edits):
+    points = [(T0 + _hours(i), 10.0 * i) for i in range(10)]
+    for i, (t, value) in edits.items():
+        points[i] = (points[i][0] if t is None else t, points[i][1] if value is None else value)
+    want = reference_profile_fault(points)
+    if want is None:
+        assert CarbonIntensityProfile.from_series(points).series == tuple(points)
+    else:
+        with pytest.raises(DomainError) as err:
+            CarbonIntensityProfile.from_series(points)
+        assert str(err.value) == want
 
 
 def test_profile_csv_roundtrip(tmp_path):

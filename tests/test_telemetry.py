@@ -57,14 +57,14 @@ def test_parse_rejects_out_of_order_rows(tmp_path):
 def test_parse_rejects_negative_power(tmp_path):
     path = tmp_path / "series.csv"
     path.write_text("timestamp,power_kw\n2022-01-01T00:00:00Z,-5\n")
-    with pytest.raises(DataFormatError, match="line 2"):
+    with pytest.raises(DomainError, match="line 2"):
         parse_series(path)
 
 
 def test_parse_rejects_nan_power(tmp_path):
     path = tmp_path / "series.csv"
     path.write_text("timestamp,power_kw\n2022-01-01T00:00:00Z,nan\n")
-    with pytest.raises(DataFormatError, match="line 2"):
+    with pytest.raises(DomainError, match="line 2"):
         parse_series(path)
 
 

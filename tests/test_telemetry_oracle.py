@@ -66,7 +66,7 @@ def reference_parse(path):
                     f"{path}: line {lineno}: power is not a number: {row[1]!r}"
                 ) from None
             if not math.isfinite(value) or value < 0:
-                raise DataFormatError(
+                raise DomainError(
                     f"{path}: line {lineno}: power must be finite and >= 0 kW, got {row[1]!r}"
                 )
             if timestamps and ts <= timestamps[-1]:
@@ -189,8 +189,8 @@ def assert_parse_matches_reference(path, oracle=True):
         assert_fast_path_matches_oracle(path)
     try:
         want = reference_parse(path)
-    except DataFormatError as exc:
-        with pytest.raises(DataFormatError) as err:
+    except (DataFormatError, DomainError) as exc:
+        with pytest.raises(type(exc)) as err:
             parse_series(path)
         assert str(err.value) == str(exc)
     else:
@@ -475,6 +475,92 @@ def test_rows_past_the_length_bound_go_row_by_row(tmp_path, extra):
     assert_parse_matches_reference(path, oracle=False)
 
 
+# -- rows of one width, whose line ends one strided compare finds -------------
+
+FIXED_START = datetime(2022, 6, 1, tzinfo=UTC)
+FIXED_ROW = "2022-06-01T00:00:00Z,3220.125"  # 29 bytes, as every row below
+
+
+def test_rows_of_one_width_match_the_reference(tmp_path):
+    rng = np.random.default_rng(13)
+    n = 2 * _BATCH + 5  # two full batches and a short one
+    # .3f values from 1000 to 9999 kW all take 8 bytes
+    kw = rng.uniform(1000.0, 9999.0, n)
+    path = tmp_path / "series.csv"
+    _write_rows(path, _minutes(FIXED_START, n), [f"{v:.3f}" for v in kw])
+    assert _parse_canonical(path) is not None
+    assert_parse_matches_reference(path)
+
+
+@pytest.mark.parametrize("value", ["999.125", "10000.125"], ids=["shorter", "longer"])
+@pytest.mark.parametrize("at", [0, _BATCH, -1], ids=["first", "middle", "last"])
+def test_one_row_of_another_width_matches_the_reference(tmp_path, at, value):
+    values = ["3220.125"] * (2 * _BATCH)
+    values[at] = value
+    path = tmp_path / "series.csv"
+    _write_rows(path, _minutes(FIXED_START, len(values)), values)
+    assert _parse_canonical(path) is not None
+    assert_parse_matches_reference(path)
+
+
+def test_two_widths_that_pass_the_stride_go_row_by_row(tmp_path):
+    # a first row of 45 bytes, then pairs of 22-byte rows: 22 + 1 + 22 = 45,
+    # so a newline sits at every 46th byte, but also inside each 45-byte window
+    stamps = _minutes(FIXED_START, 9)
+    values = ["3220.1250000000000000000"] + ["5", "6"] * 4
+    path = tmp_path / "series.csv"
+    _write_rows(path, stamps, values)
+    body = path.read_bytes()[len("timestamp,power_kw\n") :]
+    assert len(body) % 46 == 0 and set(body[45::46]) == {ord("\n")}
+    # the scan reads the file, but the strided compare takes it for one width
+    # and the newline inside a row fails the number bytes' check
+    assert reference_parse_canonical(path) is not None
+    assert _parse_canonical(path) is None
+    assert_parse_matches_reference(path, oracle=False)
+
+
+@pytest.mark.parametrize("header_end", ["\r\n", "\n"])
+def test_crlf_rows_of_one_width_match_the_reference(tmp_path, header_end):
+    rows = [f"{t},3220.125\r\n" for t in _minutes(FIXED_START, 5)]
+    path = tmp_path / "series.csv"
+    path.write_bytes(f"timestamp,power_kw{header_end}{''.join(rows)}".encode())
+    assert _parse_canonical(path) is None
+    assert_parse_matches_reference(path)
+
+
+@pytest.mark.parametrize("column", range(len(FIXED_ROW) + 1))
+def test_one_bad_byte_in_rows_of_one_width_matches_the_reference(tmp_path, column):
+    rows = [f"{t},3220.125\n" for t in _minutes(FIXED_START, 3)]
+    for bad in "x\n\r ,.9":
+        middle = rows[1][:column] + bad + rows[1][column + 1 :]
+        path = tmp_path / "series.csv"
+        path.write_text("timestamp,power_kw\n" + rows[0] + middle + rows[2])
+        assert_parse_matches_reference(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"timestamp,power_kw\n{FIXED_ROW}\n",
+        "timestamp,power_kw\n",
+        # every row 64 bytes, the longest the vectorized parse takes, then 65
+        *(
+            "timestamp,power_kw\n"
+            + "".join(f"{t},3220.{'1' * (width - 26)}\n" for t in _minutes(FIXED_START, 3))
+            for width in (_MAX_ROW_BYTES, _MAX_ROW_BYTES + 1)
+        ),
+    ],
+    ids=["one row", "no rows", "width 64", "width 65"],
+)
+def test_short_and_wide_files_of_one_width_match_the_reference(tmp_path, text):
+    path = tmp_path / "series.csv"
+    path.write_text(text)
+    wide = text.endswith(f"{'1' * (_MAX_ROW_BYTES + 1 - 26)}\n")
+    assert (_parse_canonical(path) is None) == wide
+    # the per-width parse has no bound on the row length
+    assert_parse_matches_reference(path, oracle=not wide)
+
+
 def test_daily_stamps_match_the_reference(tmp_path):
     # a new date on every row, across the 1900 non-leap year and several leap days
     start = datetime(1896, 1, 1, tzinfo=UTC)
@@ -714,6 +800,54 @@ def test_changepoint_matches_the_tuple_code():
     assert found.change_time.tzinfo is UTC
 
 
+def reference_changepoint(series):
+    """detect_changepoint's (index, score) as it was computed on gathers
+    csq[ks] and csum[ks] before it worked on slices in place."""
+    n = len(series)
+    y = series.power_kw
+    csum = np.concatenate(([0.0], np.cumsum(y)))
+    csq = np.concatenate(([0.0], np.cumsum(y * y)))
+    total_sse = float(csq[n] - csum[n] ** 2 / n)
+    if total_sse <= 1e-12 * max(1.0, float(csq[n])):
+        return 2, 0.0
+    ks = np.arange(2, n - 1)
+    left = csq[ks] - csum[ks] ** 2 / ks
+    right = (csq[n] - csq[ks]) - (csum[n] - csum[ks]) ** 2 / (n - ks)
+    sse = left + right
+    best = int(np.argmin(sse))
+    score = 1.0 - float(sse[best]) / total_sse
+    return int(ks[best]), min(max(score, 0.0), 1.0)
+
+
+@st.composite
+def changepoint_series(draw):
+    """Random, flat, two-level and tied (small integer) power values."""
+    n = draw(st.integers(min_value=4, max_value=3000))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "flat", "two-level", "tied", "drawn"]))
+    if kind == "random":
+        values = rng.uniform(0.0, draw(st.sampled_from([1e-3, 1.0, 4e3, 1e12])), n)
+    elif kind == "flat":
+        level = draw(st.floats(min_value=0.0, max_value=1e6))
+        values = level + rng.normal(0.0, draw(st.sampled_from([0.0, 1e-9, 1e-6])), n)
+    elif kind == "two-level":
+        k = draw(st.integers(min_value=1, max_value=n - 1))
+        low, high = sorted(draw(st.lists(st.floats(0.0, 1e4), min_size=2, max_size=2)))
+        values = np.where(np.arange(n) < k, high, low) + rng.normal(0.0, rng.uniform(0, 50), n)
+    elif kind == "tied":
+        values = rng.integers(0, draw(st.integers(min_value=1, max_value=4)), n).astype(float)
+    else:
+        values = np.array(draw(st.lists(st.floats(0.0, 1e6), min_size=4, max_size=40)))
+    return PowerSeries.from_arrays(np.arange(len(values)), np.maximum(values, 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(series=changepoint_series())
+def test_changepoint_equals_the_gather_formula(series):
+    found = detect_changepoint(series)
+    assert (found.index, found.score) == reference_changepoint(series)
+
+
 # -- the series itself --------------------------------------------------------
 
 
@@ -737,6 +871,15 @@ def test_tuple_and_array_constructions_agree():
     plus_one = timezone(timedelta(hours=1))
     assert PowerSeries([t.replace(tzinfo=None) for t in stamps], values) == series
     assert PowerSeries([t.astimezone(plus_one) for t in stamps], values) == series
+
+
+def test_from_arrays_copies_what_it_is_given():
+    times, power = np.array([0, 1]), np.array([1.0, 2.0])
+    series = PowerSeries.from_arrays(times, power)
+    assert not np.shares_memory(series.times_us, times)
+    assert not np.shares_memory(series.power_kw, power)
+    times[0], power[0] = 5, 5.0  # the caller's arrays stay writable
+    assert series == PowerSeries.from_arrays([0, 1], [1.0, 2.0])
 
 
 def test_series_is_read_only():
