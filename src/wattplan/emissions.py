@@ -9,6 +9,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from functools import cached_property, reduce
 from pathlib import Path
 
 from .datafiles import check_fields, csv_records, number
@@ -179,7 +180,8 @@ class CarbonIntensityProfile:
         """Time-weighted average intensity over the half-open interval [start, end).
 
         Costs O(log n + k) for a series of n entries of which k hold inside
-        the interval: only the covered steps are summed, in time order.
+        the interval: only the covered steps are summed, in time order. The
+        first call on a series also weighs each whole step once, in O(n).
         """
         if end <= start:
             raise DomainError(f"interval end {end} must be after start {start}")
@@ -191,19 +193,33 @@ class CarbonIntensityProfile:
                 f"interval [{start}, {end}) is outside series coverage "
                 f"starting at {self.series[0][0]}"
             )
-        # Steps before `first` end by `start`; steps from `stop` on begin at or
-        # after `end`. Either kind adds nothing to the sum.
+        # Steps before `first` end by `start`; steps after `last` begin at or
+        # after `end`. Either kind adds nothing to the sum. The steps between
+        # `first` and `last` hold whole inside the interval; the sum runs in
+        # time order from 0.0, as a loop over every step would.
         first = bisect_right(self._times, start) - 1
-        stop = bisect_left(self._times, end)
-        weighted = 0.0
-        for i in range(first, stop):
-            t_i, value = self.series[i]
-            t_next = self.series[i + 1][0] if i + 1 < len(self.series) else None
-            lo = max(start, t_i)
-            hi = end if t_next is None else min(end, t_next)
-            if hi > lo:
-                weighted += value * (hi - lo).total_seconds()
+        last = bisect_left(self._times, end) - 1
+        weighted = 0.0 + self._held(first, start, end)
+        if last > first:
+            weighted = reduce(operator.add, self._step_terms[first + 1 : last], weighted)
+            weighted += self._held(last, start, end)
         return weighted / (end - start).total_seconds()
+
+    def _held(self, i: int, start: datetime, end: datetime) -> float:
+        """Step i's value times the seconds it holds inside [start, end)."""
+        t_i, value = self.series[i]
+        hi = end if i + 1 == len(self.series) else min(end, self.series[i + 1][0])
+        return value * (hi - max(start, t_i)).total_seconds()
+
+    @cached_property
+    def _step_terms(self) -> tuple[float, ...]:
+        """Each step's value times its whole length in seconds, for every step
+        but the last, which has no end; built on first use."""
+        series = self.series
+        return tuple(
+            value * (t_next - t_i).total_seconds()
+            for (t_i, value), (t_next, _) in zip(series, series[1:])
+        )
 
 
 def classify_scenario(intensity_g_per_kwh: float) -> EmissionsScenario:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 from .datafiles import check_object, csv_records, number
@@ -52,6 +53,25 @@ class AppBenchmark:
             raise DomainError(
                 f"benchmark {self.app_name!r}: energy_ratio must be > 0, got {self.energy_ratio}"
             )
+
+    @cached_property
+    def _decisions(self) -> tuple["PolicyDecision", "PolicyDecision"]:
+        """The decision that keeps the capped frequency and the one that
+        reverts, built on first use; they are frozen, so every call shares them."""
+        perf_loss = 1.0 - self.perf_ratio
+        energy_saving = 1.0 - self.energy_ratio
+        return (
+            PolicyDecision(self.app_name, FrequencySetting.F2000, False, perf_loss, energy_saving),
+            PolicyDecision(
+                self.app_name, FrequencySetting.F2250_TURBO, True, perf_loss, energy_saving
+            ),
+        )
+
+    def __getstate__(self) -> dict:
+        # the cached decisions are derived, so a pickle or copy leaves them out
+        state = dict(self.__dict__)
+        state.pop("_decisions", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -147,15 +167,8 @@ def recommend(benchmark: AppBenchmark, rule: PolicyRule) -> PolicyDecision:
             f"policy recommendations need {Intervention.FREQ_CAP_2000.value} benchmarks; "
             f"{benchmark.app_name!r} records {benchmark.intervention.value}"
         )
-    ratios = derived_ratios(benchmark)
-    reverted = ratios.perf_loss > rule.perf_loss_threshold
-    return PolicyDecision(
-        app_name=benchmark.app_name,
-        default_setting=FrequencySetting.F2250_TURBO if reverted else FrequencySetting.F2000,
-        reverted=reverted,
-        perf_loss=ratios.perf_loss,
-        energy_saving=ratios.energy_saving,
-    )
+    kept, reverted = benchmark._decisions
+    return reverted if 1.0 - benchmark.perf_ratio > rule.perf_loss_threshold else kept
 
 
 def fleet_ratios(
@@ -196,8 +209,7 @@ def fleet_ratios(
             fleet_power += weight
             fleet_throughput += weight
         else:
-            ratios = derived_ratios(source)
-            fleet_power += weight * ratios.power_ratio
+            fleet_power += weight * (source.energy_ratio * source.perf_ratio)
             fleet_throughput += weight * source.perf_ratio
     return FleetRatios(
         fleet_power_ratio=fleet_power,

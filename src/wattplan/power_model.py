@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -142,17 +142,14 @@ def apply_power_factor(
     if not (math.isfinite(factor) and factor >= 0):
         raise DomainError(f"power factor must be >= 0, got {factor}")
     spec = model.component(component)
+    idle = spec.idle_kw_per_unit
     if mode is FactorMode.WHOLE_DRAW:
-        scaled = replace(
-            spec,
-            idle_kw_per_unit=spec.idle_kw_per_unit * factor,
-            loaded_kw_per_unit=spec.loaded_kw_per_unit * factor,
-        )
+        idle, loaded = idle * factor, spec.loaded_kw_per_unit * factor
     else:
-        dynamic = spec.loaded_kw_per_unit - spec.idle_kw_per_unit
-        scaled = replace(spec, loaded_kw_per_unit=spec.idle_kw_per_unit + dynamic * factor)
-    components = tuple(scaled if c.name == component else c for c in model.components)
-    return replace(model, components=components)
+        loaded = idle + (spec.loaded_kw_per_unit - idle) * factor
+    scaled = ComponentSpec(spec.name, spec.count, idle, loaded, spec.load_response)
+    components = tuple([scaled if c is spec else c for c in model.components])
+    return SystemModel(model.name, components, model.compute_component)
 
 
 _MODEL_FIELDS = ("name", "components", "compute_component")

@@ -5,6 +5,7 @@ throughput index out, plus threshold sweeps over the revert rule."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -23,7 +24,6 @@ from .freq_policy import (
     JobMix,
     PolicyDecision,
     PolicyRule,
-    derived_ratios,
     fleet_ratios,
     load_benchmark_table,
 )
@@ -169,26 +169,28 @@ def sweep_threshold(config: ScenarioConfig, thresholds) -> list[tuple[float, Sce
     """The scenario at each revert threshold, ordered by threshold.
 
     The rule acts only through `perf_loss > threshold` on each freq-cap row,
-    and a result does not record the threshold, so the scenario runs once per
-    distinct set of those tests: thresholds that share a decision set return
-    the same frozen `ScenarioResult` object.
+    so the decisions at a threshold follow from how many of those losses lie
+    at or below it. A result does not record the threshold, so the scenario
+    runs once per such count, at the smallest threshold that has it:
+    thresholds that share a decision set return the same frozen
+    `ScenarioResult` object.
     """
     thresholds = list(thresholds)
     for threshold in thresholds:
         if not 0.0 <= threshold <= 1.0:
             raise DomainError(f"threshold must be within [0, 1], got {threshold}")
-    losses = [
-        derived_ratios(b).perf_loss
+    losses = sorted(
+        1.0 - b.perf_ratio
         for b in config.benchmarks
         if b.intervention is Intervention.FREQ_CAP_2000
-    ]
-    by_decisions: dict[tuple[bool, ...], ScenarioResult] = {}
+    )
+    by_count: dict[int, ScenarioResult] = {}
     results = []
     for threshold in sorted(thresholds):
-        key = tuple(loss > threshold for loss in losses)
-        if key not in by_decisions:
-            by_decisions[key] = run_scenario(replace(config, rule=PolicyRule(threshold)))
-        results.append((threshold, by_decisions[key]))
+        count = bisect_right(losses, threshold)
+        if count not in by_count:
+            by_count[count] = run_scenario(replace(config, rule=PolicyRule(threshold)))
+        results.append((threshold, by_count[count]))
     return results
 
 

@@ -557,8 +557,11 @@ def detect_changepoint(series: PowerSeries) -> Changepoint:
     if n < 4:
         raise DomainError(f"changepoint detection needs at least 4 samples, got {n}")
     y = series.power_kw
-    csum = np.concatenate(([0.0], np.cumsum(y)))
-    csq = np.concatenate(([0.0], np.cumsum(y * y)))
+    # prefix sums with a leading zero, accumulated straight into their buffers
+    csum = np.zeros(n + 1)
+    np.cumsum(y, out=csum[1:])
+    csq = np.zeros(n + 1)
+    np.cumsum(y * y, out=csq[1:])
     total_sse = float(csq[n] - csum[n] ** 2 / n)
     if total_sse <= 1e-12 * max(1.0, float(csq[n])):
         # flat series: every split is equivalent, return the earliest

@@ -739,11 +739,15 @@ NUMPY_FREE_CALLS = [
 ]
 
 
-def _child(code, *argv, cwd=None):
+def _python(*args, cwd=None):
     return subprocess.run(
-        [sys.executable, "-c", code, *argv],
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": str(SRC)}, cwd=cwd, capture_output=True, timeout=120,
     )
+
+
+def _child(code, *argv, cwd=None):
+    return _python("-c", code, *argv, cwd=cwd)
 
 
 @pytest.fixture(scope="module")
@@ -788,3 +792,18 @@ def test_planning_calls_run_without_numpy(planning_cycle, label):
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stderr == b""
     assert proc.stdout == (PERFBENCH / "golden" / f"{label}.out").read_bytes()
+
+
+@pytest.mark.parametrize("module", ["wattplan", "wattplan.cli"])
+def test_python_dash_m_runs_the_cli(planning_cycle, tmp_path, module):
+    cycle, work = planning_cycle
+    proc = _python("-m", module, *cycle["power"], cwd=work)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
+    assert proc.stdout == (PERFBENCH / "golden" / "power.out").read_bytes()
+    broken = tmp_path / "broken.json"
+    broken.write_text("{", encoding="utf-8")
+    proc = _python("-m", module, "power", str(broken), "-u", "0.92", cwd=work)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: ")

@@ -304,6 +304,17 @@ def test_sweep_runs_the_scenario_once_per_decision_set(monkeypatch, stacked_conf
     assert calls == []
 
 
+def test_sweep_over_numpy_thresholds_encodes_like_python_floats(stacked_config):
+    thresholds = np.linspace(0.0, 1.0, 41)
+
+    def encoded(sweep):
+        return json.dumps([[float(t), result_to_dict(result)] for t, result in sweep])
+
+    numpy_sweep = sweep_threshold(stacked_config, thresholds)
+    assert encoded(numpy_sweep) == encoded(sweep_threshold(stacked_config, thresholds.tolist()))
+    assert {type(d.reverted) for _, r in numpy_sweep for d in r.decisions} == {bool}
+
+
 def test_job_mix_validation():
     with pytest.raises(DomainError, match="sum to 1"):
         JobMix({"a": 0.4, "b": 0.4})
