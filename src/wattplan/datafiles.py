@@ -6,8 +6,10 @@ The JSON boundary checks type and shape only: a value of the wrong type, a
 missing or unknown field, or a file that is not JSON raises DataFormatError.
 The CSV boundary, csv_records, checks the header and each record's field
 count, skips blank records and numbers each record by the physical line it
-starts on. Converting a cell is left to each loader, and whether a value is in
-range to the loader or the dataclass it builds, which raises DomainError.
+starts on. The one cell conversion it owns is a series row, timed_values:
+a `timestamp,<value>` row of power or carbon intensity. Any other cell is
+left to its loader, and whether a value is in range to the loader or the
+dataclass it builds, which raises DomainError.
 
 The encoder, to_json, works recursively: a dataclass becomes an object of its
 fields in declaration order, an enum its value, a datetime format_timestamp's
@@ -19,14 +21,15 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import fields, is_dataclass
 from datetime import datetime
 from enum import Enum
 from importlib.resources import files
 from pathlib import Path
 
-from .errors import DataFormatError
-from .timestamps import format_timestamp
+from .errors import DataFormatError, DomainError
+from .timestamps import format_timestamp, parse_timestamp
 
 BUILTIN_PREFIX = "builtin:"
 
@@ -93,6 +96,31 @@ def csv_records(path: str | Path, header: list[str]):
             raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
         except csv.Error as exc:
             raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def timed_values(path: str | Path, column: str, what: str, unit: str):
+    """The (line, ts, value) rows of a series CSV file with header
+    timestamp,column: line as for csv_records, ts the UTC datetime of the
+    ISO-8601 stamp and value the float of the cell, finite and >= 0. Each
+    error names the file and the line, and calls the value `what`, in `unit`;
+    the order of the stamps is left to the caller.
+    """
+    for line, (stamp, text) in csv_records(path, ["timestamp", column]):
+        try:
+            ts = parse_timestamp(stamp)
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path}: line {line}: {exc}") from None
+        try:
+            value = float(text)
+        except ValueError:
+            raise DataFormatError(
+                f"{path}: line {line}: {what} is not a number: {text!r}"
+            ) from None
+        if not (math.isfinite(value) and value >= 0):
+            raise DomainError(
+                f"{path}: line {line}: {what} must be finite and >= 0 {unit}, got {text!r}"
+            )
+        yield line, ts, value
 
 
 _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number", float: "number"}

@@ -6,15 +6,15 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from functools import cached_property, reduce
 from pathlib import Path
 
-from .datafiles import check_fields, csv_records, number
+from .datafiles import check_fields, number, timed_values
 from .errors import DataFormatError, DomainError
-from .timestamps import format_timestamp, parse_timestamp
+from .timestamps import format_timestamp
 
 # Carbon-intensity bands (gCO2/kWh) separating the three emissions regimes.
 # Both band edges belong to the balanced regime.
@@ -86,9 +86,6 @@ class CarbonIntensityProfile:
 
     constant_g_per_kwh: float | None = None
     series: tuple[tuple[datetime, float], ...] | None = None
-    # The series' timestamps, kept so that lookups bisect without rebuilding
-    # them; empty for a constant profile.
-    _times: tuple[datetime, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.constant_g_per_kwh is None) == (self.series is None):
@@ -103,7 +100,7 @@ class CarbonIntensityProfile:
         if not self.series:
             raise DomainError("series profile must contain at least one entry")
         # each check is a C-level pass; the loops only find the fault to name
-        times = tuple(map(operator.itemgetter(0), self.series))
+        times = self._times
         values = tuple(map(operator.itemgetter(1), self.series))
         if not all(map(operator.lt, times, times[1:])):
             i = next(i for i in range(len(times)) if times[i + 1] <= times[i])
@@ -113,7 +110,6 @@ class CarbonIntensityProfile:
         if not (all(map(math.isfinite, values)) and min(values) >= 0):
             value = next(v for v in values if not (math.isfinite(v) and v >= 0))
             raise DomainError(f"carbon intensity must be >= 0 g/kWh, got {value}")
-        object.__setattr__(self, "_times", times)
 
     @classmethod
     def constant(cls, g_per_kwh: float) -> "CarbonIntensityProfile":
@@ -129,21 +125,7 @@ class CarbonIntensityProfile:
         points: list[tuple[datetime, float]] = []
         # raised after the rows, so that a malformed row anywhere is named first
         disorder = None
-        for line, (stamp, text) in csv_records(path, ["timestamp", "intensity_g_per_kwh"]):
-            try:
-                ts = parse_timestamp(stamp)
-            except DataFormatError as exc:
-                raise DataFormatError(f"{path}: line {line}: {exc}") from None
-            try:
-                value = float(text)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: line {line}: intensity is not a number: {text!r}"
-                ) from None
-            if not (math.isfinite(value) and value >= 0):
-                raise DomainError(
-                    f"{path}: line {line}: intensity must be finite and >= 0 g/kWh, got {text!r}"
-                )
+        for line, ts, value in timed_values(path, "intensity_g_per_kwh", "intensity", "g/kWh"):
             if points and ts <= points[-1][0] and disorder is None:
                 disorder = DataFormatError(
                     f"{path}: line {line}: timestamps not strictly increasing "
@@ -155,10 +137,6 @@ class CarbonIntensityProfile:
         if not points:
             raise DataFormatError(f"{path}: no intensity rows found")
         return cls.from_series(points)
-
-    @property
-    def is_constant(self) -> bool:
-        return self.constant_g_per_kwh is not None
 
     def start_time(self) -> datetime | None:
         """First covered instant, or None for a constant profile."""
@@ -210,6 +188,12 @@ class CarbonIntensityProfile:
         t_i, value = self.series[i]
         hi = end if i + 1 == len(self.series) else min(end, self.series[i + 1][0])
         return value * (hi - max(start, t_i)).total_seconds()
+
+    @cached_property
+    def _times(self) -> tuple[datetime, ...]:
+        """The series' timestamps, kept so that lookups bisect without
+        rebuilding them; built by the order check."""
+        return tuple(map(operator.itemgetter(0), self.series))
 
     @cached_property
     def _step_terms(self) -> tuple[float, ...]:

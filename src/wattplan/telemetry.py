@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .datafiles import csv_records
+from .datafiles import timed_values
 from .errors import DataFormatError, DomainError
-from .timestamps import format_timestamp, parse_timestamp
+from .timestamps import format_timestamp
 
 DEFAULT_SERIES_START = datetime(2022, 1, 1, tzinfo=timezone.utc)
 
@@ -237,13 +237,11 @@ def _parse_canonical(path: str | Path) -> PowerSeries | None:
 
     Rows are parsed in batches of one length. Where the first row's width w
     divides the body into rows of w + 1 bytes and one strided compare finds
-    a newline at the end of each, the rows are one batch group and the
-    line-end scan, with its four row-sized index arrays, is skipped. Fixed
-    decimals whose integer part keeps its number of digits have this shape,
-    such as a year of `.3f` cabinet power from 1,000 to 9,999 kW. On that
-    year (525,600 rows, 15.7 MB) the parse went from about 50 to about 29
-    reference ms. Rows of several widths, such as write_series's reprs, are
-    found by the scan and grouped by length.
+    a newline at the end of each, the rows are first read as one group,
+    without a scan for the line ends. Any other file, and one whose read as
+    a single group fails (such as rows of several widths whose newlines fall
+    on the stride by chance), has its line ends scanned and its rows grouped
+    by length.
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -255,26 +253,30 @@ def _parse_canonical(path: str | Path) -> PowerSeries | None:
         body[width :: width + 1] == ord("\n")
     ).all():
         # Every row is `width` bytes long: one group, whose row numbers and
-        # starts are ranges, and no scan for the line ends. The parse below
-        # checks each other byte of a row as a digit, a separator or a number
-        # byte, none of them a newline, so a file that passes the stride by
-        # chance is rejected.
+        # starts are ranges. The parse checks each other byte of a row as a
+        # digit, a separator or a number byte, none of them a newline, so a
+        # file that passes the stride by chance fails here and is scanned.
         n_rows = body.size // (width + 1)
-        starts = range(0, body.size, width + 1)
-        groups = [(width, range(n_rows))]
-    else:
-        ends = np.flatnonzero(body == ord("\n"))
-        starts = np.concatenate(([0], ends + 1))[:-1]
-        lengths = ends - starts
-        if lengths.size and lengths.max() > _MAX_ROW_BYTES:
-            return None
-        n_rows = len(ends)
-        groups = (
-            (length, np.flatnonzero(lengths == length))
-            for length in np.flatnonzero(np.bincount(lengths)).tolist()
-        )
-    times = np.empty(n_rows, dtype=np.int64)
-    power = np.empty(n_rows)
+        series = _parse_groups(body, range(0, body.size, width + 1), [(width, range(n_rows))])
+        if series is not None:
+            return series
+    ends = np.flatnonzero(body == ord("\n"))
+    starts = np.concatenate(([0], ends + 1))[:-1]
+    lengths = ends - starts
+    if lengths.size and lengths.max() > _MAX_ROW_BYTES:
+        return None
+    groups = (
+        (length, np.flatnonzero(lengths == length))
+        for length in np.flatnonzero(np.bincount(lengths)).tolist()
+    )
+    return _parse_groups(body, starts, groups)
+
+
+def _parse_groups(body: np.ndarray, starts, groups) -> PowerSeries | None:
+    """The series of the canonical rows of body, or None if one is not: row i
+    starts at body[starts[i]], and groups holds (length, row numbers) pairs."""
+    times = np.empty(len(starts), dtype=np.int64)
+    power = np.empty(len(starts))
     # a batch per row length, so that byte j of every row is one column
     for length, group in groups:
         if length <= _STAMP_BYTES:
@@ -378,19 +380,7 @@ def _parse_rows(path: str | Path) -> PowerSeries:
     """Row-by-row parse of any file parse_series accepts; the source of every error."""
     timestamps: list[datetime] = []
     values: list[float] = []
-    for line, (stamp, text) in csv_records(path, ["timestamp", "power_kw"]):
-        try:
-            ts = parse_timestamp(stamp)
-        except DataFormatError as exc:
-            raise DataFormatError(f"{path}: line {line}: {exc}") from None
-        try:
-            value = float(text)
-        except ValueError:
-            raise DataFormatError(f"{path}: line {line}: power is not a number: {text!r}") from None
-        if not math.isfinite(value) or value < 0:
-            raise DomainError(
-                f"{path}: line {line}: power must be finite and >= 0 kW, got {text!r}"
-            )
+    for line, ts, value in timed_values(path, "power_kw", "power", "kW"):
         if timestamps and ts <= timestamps[-1]:
             raise DataFormatError(
                 f"{path}: line {line}: timestamps out of order "
@@ -423,9 +413,7 @@ def write_series(series: PowerSeries, path: str | Path) -> None:
     Each chunk of rows is written column-wise: its stamps become one format
     text of lines `YYYY-MM-DDTHH:MM:SSZ,%r` (see _row_formats), and one `%`
     with the chunk's powers fills in their reprs, the same bytes as a
-    per-row f-string. On 43,800 1-minute rows that took the write from about
-    48 to about 37 reference ms. Nearly all that is left is float.__repr__
-    itself; beating it would need an exact shortest-digits kernel such as Ryu.
+    per-row f-string.
     """
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("timestamp,power_kw\n")

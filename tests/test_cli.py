@@ -714,9 +714,17 @@ PROFILE_ARGV = ["emissions", "--profile", "FILE", "--power-kw", "1", "--hours", 
         (["telemetry", "FILE", "--detect"], "series.csv",
          "timestamp,power_kw\n2022-01-01T00:00:00Z,10\n\n2022-01-01T00:01:00Z,nan\n",
          1, "line 4: power must be finite and >= 0 kW, got 'nan'"),
+        # a stamp that does not parse, after blank line 3, in both series formats
+        (PROFILE_ARGV, "profile.csv",
+         "timestamp,intensity_g_per_kwh\n2022-01-01T00:00:00Z,10\n\n"
+         "2022-01-01T25:00:00Z,20\n",
+         2, "line 4: invalid ISO-8601 timestamp: '2022-01-01T25:00:00Z'"),
+        (["telemetry", "FILE", "--detect"], "series.csv",
+         "timestamp,power_kw\n2022-01-01T00:00:00Z,10\n\n2022-01-01T25:00:00Z,20\n",
+         2, "line 4: invalid ISO-8601 timestamp: '2022-01-01T25:00:00Z'"),
     ],
     ids=["telemetry", "policy", "emissions-profile", "profile-negative", "profile-nan",
-         "telemetry-negative", "telemetry-nan"],
+         "telemetry-negative", "telemetry-nan", "profile-stamp", "telemetry-stamp"],
 )
 def test_csv_errors_name_the_physical_line(
     capsys, tmp_path, fmt, argv, name, text, exit_code, message

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import time
 from bisect import bisect_right
@@ -20,6 +21,7 @@ from wattplan.emissions import (
     recommended_objective,
     scope2_emissions,
 )
+from wattplan.datafiles import to_json
 from wattplan.errors import DataFormatError, DomainError
 
 T0 = datetime(2022, 6, 1, tzinfo=timezone.utc)
@@ -369,6 +371,23 @@ def test_profile_validation():
             CarbonIntensityProfile.constant(bad)
         with pytest.raises(DomainError):
             CarbonIntensityProfile.from_series([(T0, 10.0), (T0 + _hours(1), bad)])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: CarbonIntensityProfile.constant(3.0),
+     lambda: CarbonIntensityProfile.from_series([(T0, 3.0), (T0 + _hours(1), 5.0)])],
+    ids=["constant", "series"],
+)
+def test_profile_json_and_copies_hold_only_its_fields(make):
+    profile = make()
+    # a lookup builds the private bisect and step caches before the encoding
+    profile.mean_intensity(T0, T0 + _hours(2))
+    assert list(to_json(profile)) == ["constant_g_per_kwh", "series"]
+    copy = pickle.loads(pickle.dumps(profile))
+    assert copy == profile == make() and hash(copy) == hash(make())
+    assert repr(copy) == repr(make())
+    assert copy.intensity_at(T0 + _hours(1)) == profile.intensity_at(T0 + _hours(1))
 
 
 def reference_profile_fault(points):

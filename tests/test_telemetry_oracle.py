@@ -364,6 +364,12 @@ def one_odd_row_files(draw):
     max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(text=st.one_of(series_files(), one_odd_row_files()))
+# rows of 57, 34 and 22 bytes: 34 + 1 + 22 = 57, so every 58th byte is a
+# newline, but the file is not one width
+@example(
+    text="timestamp,power_kw\n1999-01-01T00:00:00Z,0.1000000000000000055511151231257827\n"
+    "2000-01-01T00:00:00Z,2.393912e-291\n2000-01-01T00:00:01Z,0\n"
+)
 def test_parse_matches_the_per_row_reference(tmp_path, text):
     path = tmp_path / "series.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -503,7 +509,7 @@ def test_one_row_of_another_width_matches_the_reference(tmp_path, at, value):
     assert_parse_matches_reference(path)
 
 
-def test_two_widths_that_pass_the_stride_go_row_by_row(tmp_path):
+def test_two_widths_that_pass_the_stride_are_read_by_the_scan(tmp_path):
     # a first row of 45 bytes, then pairs of 22-byte rows: 22 + 1 + 22 = 45,
     # so a newline sits at every 46th byte, but also inside each 45-byte window
     stamps = _minutes(FIXED_START, 9)
@@ -512,11 +518,11 @@ def test_two_widths_that_pass_the_stride_go_row_by_row(tmp_path):
     _write_rows(path, stamps, values)
     body = path.read_bytes()[len("timestamp,power_kw\n") :]
     assert len(body) % 46 == 0 and set(body[45::46]) == {ord("\n")}
-    # the scan reads the file, but the strided compare takes it for one width
-    # and the newline inside a row fails the number bytes' check
+    # the strided compare takes it for one width, the newline inside a row
+    # fails that read, and the scan reads the file as the reference does
     assert reference_parse_canonical(path) is not None
-    assert _parse_canonical(path) is None
-    assert_parse_matches_reference(path, oracle=False)
+    assert_fast_path_matches_oracle(path)
+    assert_parse_matches_reference(path)
 
 
 @pytest.mark.parametrize("header_end", ["\r\n", "\n"])
