@@ -2,7 +2,6 @@
 
 from .emissions import (
     CarbonIntensityProfile,
-    EfficiencyMetrics,
     EmbodiedEmissions,
     EmissionsBreakdown,
     EmissionsScenario,
@@ -10,7 +9,6 @@ from .emissions import (
     amortized_scope3,
     classify_scenario,
     lifetime_emissions,
-    output_efficiency,
     recommended_objective,
     run_intensity,
     scope2_emissions,
@@ -18,14 +16,12 @@ from .emissions import (
 from .errors import DataFormatError, DomainError, WattplanError
 from .freq_policy import (
     AppBenchmark,
-    DerivedRatios,
     FleetRatios,
     FrequencySetting,
     Intervention,
     JobMix,
     PolicyDecision,
     PolicyRule,
-    derived_ratios,
     fleet_ratios,
     load_benchmark_table,
     recommend,
@@ -39,15 +35,12 @@ from .power_model import (
     apply_power_factor,
     component_power,
     load_model,
-    save_model,
     system_power,
 )
 from .simulator import (
     BIOS_DETERMINISM_POWER_FACTOR,
     ScenarioConfig,
-    ScenarioDeltas,
     ScenarioResult,
-    compare_scenarios,
     load_scenario_config,
     run_scenario,
     sweep_threshold,

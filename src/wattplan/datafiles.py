@@ -33,12 +33,6 @@ from .timestamps import format_timestamp, parse_timestamp
 
 BUILTIN_PREFIX = "builtin:"
 
-ARCHER2_MODEL = "archer2_system.json"
-TABLE3_BIOS = "table3_bios.csv"
-TABLE4_FREQ = "table4_freq.csv"
-BASELINE_SCENARIO = "baseline_scenario.json"
-STACKED_SCENARIO = "stacked_scenario.json"
-
 
 def data_path(name: str) -> Path:
     """Filesystem path of a bundled data file."""

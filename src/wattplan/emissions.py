@@ -1,5 +1,5 @@
 """Emissions accounting: carbon-intensity regimes, scope-2 energy emissions and
-amortized scope-3 embodied emissions, plus output-efficiency metrics."""
+amortized scope-3 embodied emissions."""
 
 from __future__ import annotations
 
@@ -322,29 +322,3 @@ def lifetime_emissions(
     check_mean_power(mean_power_kw)
     intensity = run_intensity(profile, duration_hours, start)
     return priced_emissions(mean_power_kw, duration_hours, intensity, embodied)
-
-
-@dataclass(frozen=True)
-class EfficiencyMetrics:
-    """Application output per node-hour, per kWh and per kg CO2e."""
-
-    per_nodeh: float
-    per_kwh: float
-    per_kgco2: float
-
-
-def output_efficiency(
-    output_units: float, energy_kwh: float, nodeh: float, breakdown: EmissionsBreakdown
-) -> EfficiencyMetrics:
-    """The three output-efficiency ratios used to compare operating points."""
-    if nodeh <= 0:
-        raise DomainError(f"node-hours must be > 0, got {nodeh}")
-    if energy_kwh <= 0:
-        raise DomainError(f"energy must be > 0 kWh, got {energy_kwh}")
-    if breakdown.total_kg <= 0:
-        raise DomainError(f"total emissions must be > 0 kg, got {breakdown.total_kg}")
-    return EfficiencyMetrics(
-        per_nodeh=output_units / nodeh,
-        per_kwh=output_units / energy_kwh,
-        per_kgco2=output_units / breakdown.total_kg,
-    )

@@ -16,7 +16,6 @@ from .errors import DataFormatError, DomainError
 class FrequencySetting(Enum):
     """CPU frequency operating points available on the modeled hardware."""
 
-    F1500 = "1.5GHz"
     F2000 = "2.0GHz"
     F2250_TURBO = "2.25GHz+turbo"
 
@@ -119,13 +118,6 @@ class JobMix:
 
 
 @dataclass(frozen=True)
-class DerivedRatios:
-    perf_loss: float
-    energy_saving: float
-    power_ratio: float
-
-
-@dataclass(frozen=True)
 class PolicyDecision:
     app_name: str
     default_setting: FrequencySetting
@@ -141,19 +133,6 @@ class FleetRatios:
     fleet_power_ratio: float
     fleet_throughput_ratio: float
     decisions: tuple[PolicyDecision, ...]
-
-
-def derived_ratios(benchmark: AppBenchmark) -> DerivedRatios:
-    """Loss/saving fractions and the mean-power ratio implied by a benchmark.
-
-    Mean power scales as energy over runtime, and runtime scales as 1/perf,
-    so power_ratio = energy_ratio * perf_ratio.
-    """
-    return DerivedRatios(
-        perf_loss=1.0 - benchmark.perf_ratio,
-        energy_saving=1.0 - benchmark.energy_ratio,
-        power_ratio=benchmark.energy_ratio * benchmark.perf_ratio,
-    )
 
 
 def recommend(benchmark: AppBenchmark, rule: PolicyRule) -> PolicyDecision:
@@ -177,8 +156,10 @@ def fleet_ratios(
     """Weight-averaged power and throughput ratios over a job mix.
 
     Reverted applications run at the original operating point and contribute
-    ratios of exactly 1.0; kept applications contribute their power_ratio and
-    perf_ratio. The weights must make a valid JobMix over benchmarked apps.
+    ratios of exactly 1.0. A kept application contributes its perf_ratio and
+    the mean-power ratio energy_ratio * perf_ratio: mean power is energy over
+    runtime, and runtime scales as 1/perf. The weights must make a valid
+    JobMix over benchmarked apps.
     """
     # each app's freq-cap row, else its first row (which recommend() rejects),
     # in the order the apps first appear

@@ -8,7 +8,6 @@ frequency caps) enter as multiplicative factors on a single component's draw.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -205,8 +204,3 @@ def model_from_dict(doc, where: str = "model document") -> SystemModel:
 def load_model(path: str | Path) -> SystemModel:
     """Load a SystemModel from a JSON file."""
     return model_from_dict(read_json(path), str(path))
-
-
-def save_model(model: SystemModel, path: str | Path) -> None:
-    """Write a SystemModel to a JSON file."""
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2) + "\n", encoding="utf-8")

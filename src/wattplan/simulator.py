@@ -79,17 +79,6 @@ class ScenarioResult:
     duration_hours: float
 
 
-@dataclass(frozen=True)
-class ScenarioDeltas:
-    """Componentwise differences of scenario b relative to scenario a."""
-
-    power_kw: float
-    pct_power: float
-    energy_kwh: float
-    emissions_kg: float
-    throughput: float
-
-
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Evaluate one scenario.
 
@@ -146,23 +135,6 @@ def _overflow(config: ScenarioConfig, mean_power_kw: float) -> DomainError:
             f"{config.embodied.service_lifetime_hours} h"
         )
     return DomainError(message)
-
-
-def compare_scenarios(a: ScenarioResult, b: ScenarioResult) -> ScenarioDeltas:
-    """Differences of b relative to a; both runs must cover the same duration."""
-    if a.duration_hours != b.duration_hours:
-        raise DomainError(
-            f"durations differ: {a.duration_hours} h vs {b.duration_hours} h"
-        )
-    if a.mean_power_kw == 0:
-        raise DomainError("scenario a has zero mean power; percentage change is undefined")
-    return ScenarioDeltas(
-        power_kw=b.mean_power_kw - a.mean_power_kw,
-        pct_power=(b.mean_power_kw - a.mean_power_kw) / a.mean_power_kw,
-        energy_kwh=b.energy_kwh - a.energy_kwh,
-        emissions_kg=b.emissions.total_kg - a.emissions.total_kg,
-        throughput=b.throughput_index - a.throughput_index,
-    )
 
 
 def sweep_threshold(config: ScenarioConfig, thresholds) -> list[tuple[float, ScenarioResult]]:

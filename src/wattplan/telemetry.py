@@ -32,11 +32,14 @@ _CHUNK = 1 << 12  # rows per batch of timestamps and write_series, which bounds 
 _BATCH = 1 << 14  # rows per batch of the canonical parse
 
 
+def _aware(ts: datetime) -> datetime:
+    """ts, with a naive timestamp taken as UTC."""
+    return ts.replace(tzinfo=timezone.utc) if ts.tzinfo is None else ts
+
+
 def _micros(ts: datetime) -> int:
     """Microseconds since the Unix epoch; naive timestamps are taken as UTC."""
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return (ts - _EPOCH) // _ONE_US
+    return (_aware(ts) - _EPOCH) // _ONE_US
 
 
 def _instant(us) -> datetime:
@@ -134,9 +137,6 @@ class PowerSeries:
 
     def __len__(self) -> int:
         return len(self.times_us)
-
-    def samples(self):
-        return zip(self.timestamps, self.values_kw)
 
 
 @dataclass(frozen=True)
@@ -466,6 +466,7 @@ def _row_formats(times_us: np.ndarray) -> str:
 
 def window_mean(series: PowerSeries, start: datetime, end: datetime) -> WindowStats:
     """Mean and population standard deviation of samples within [start, end)."""
+    start, end = _aware(start), _aware(end)
     if end <= start:
         raise DomainError(
             f"window end {format_timestamp(end)} must be after start {format_timestamp(start)}"
@@ -476,13 +477,15 @@ def window_mean(series: PowerSeries, start: datetime, end: datetime) -> WindowSt
             f"no samples in window [{format_timestamp(start)}, {format_timestamp(end)})"
         )
     window = series.power_kw[lo:hi]
-    return WindowStats(
-        start=start,
-        end=end,
-        count=int(window.size),
-        mean_kw=float(window.mean()),
-        stddev_kw=float(window.std()),
-    )
+    # powers whose squares pass the float range make the deviation inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = WindowStats(start, end, int(window.size), float(window.mean()), float(window.std()))
+    if not math.isfinite(stats.stddev_kw):
+        raise DomainError(
+            f"powers in window [{format_timestamp(start)}, {format_timestamp(end)}) "
+            f"are too large for their standard deviation to be a float"
+        )
+    return stats
 
 
 def intervention_impact(
@@ -499,6 +502,7 @@ def intervention_impact(
         raise DomainError(f"guard gap must be >= 0 hours, got {gap_hours}")
     if len(series) == 0:
         raise DomainError("series has no samples")
+    change_time = _aware(change_time)
     try:
         before_end = change_time - guard_gap
         after_start = change_time + guard_gap
@@ -549,8 +553,13 @@ def detect_changepoint(series: PowerSeries) -> Changepoint:
     csum = np.zeros(n + 1)
     np.cumsum(y, out=csum[1:])
     csq = np.zeros(n + 1)
-    np.cumsum(y * y, out=csq[1:])
-    total_sse = float(csq[n] - csum[n] ** 2 / n)
+    # a square past the float range makes the total inf or nan; while both
+    # sums and the square of the plain one are finite, so is every split's
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumsum(y * y, out=csq[1:])
+        total_sse = float(csq[n] - csum[n] ** 2 / n)
+    if not math.isfinite(total_sse):
+        raise DomainError("powers are too large for their squared deviations to be floats")
     if total_sse <= 1e-12 * max(1.0, float(csq[n])):
         # flat series: every split is equivalent, return the earliest
         return Changepoint(change_time=_instant(series.times_us[2]), index=2, score=0.0)

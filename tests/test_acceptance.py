@@ -20,7 +20,6 @@ from wattplan.freq_policy import (
     AppBenchmark,
     Intervention,
     PolicyRule,
-    derived_ratios,
     load_benchmark_table,
 )
 from wattplan.power_model import (
@@ -99,10 +98,10 @@ def test_criterion_03_revert_rule_fidelity(capsys):
 def test_criterion_04_ratio_ranges():
     table4 = load_benchmark_table(data_path("table4_freq.csv"))
     table3 = load_benchmark_table(data_path("table3_bios.csv"))
-    losses4 = [derived_ratios(b).perf_loss for b in table4]
-    savings4 = [derived_ratios(b).energy_saving for b in table4]
-    losses3 = [derived_ratios(b).perf_loss for b in table3]
-    savings3 = [derived_ratios(b).energy_saving for b in table3]
+    losses4 = [1.0 - b.perf_ratio for b in table4]
+    savings4 = [1.0 - b.energy_ratio for b in table4]
+    losses3 = [1.0 - b.perf_ratio for b in table3]
+    savings3 = [1.0 - b.energy_ratio for b in table3]
     ok = (
         min(losses4) == pytest.approx(0.05, abs=1e-12)
         and max(losses4) == pytest.approx(0.26, abs=1e-12)

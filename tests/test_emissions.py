@@ -9,15 +9,12 @@ import pytest
 
 from wattplan.emissions import (
     CarbonIntensityProfile,
-    EfficiencyMetrics,
     EmbodiedEmissions,
-    EmissionsBreakdown,
     EmissionsScenario,
     OptimizationObjective,
     amortized_scope3,
     classify_scenario,
     lifetime_emissions,
-    output_efficiency,
     recommended_objective,
     scope2_emissions,
 )
@@ -557,31 +554,3 @@ def test_lifetime_emissions_series_anchored_at_series_start():
     breakdown = lifetime_emissions(100.0, 2.0, profile, EmbodiedEmissions(0.0, 1.0))
     # one hour at 10 plus one hour at 30 -> 200 kWh at an effective 20 g/kWh
     assert breakdown.scope2_kg == pytest.approx(4.0)
-
-
-def test_output_efficiency_ratios():
-    metrics = output_efficiency(100.0, 50.0, 10.0, EmissionsBreakdown.of_parts(5.0, 0.0))
-    assert metrics == EfficiencyMetrics(per_nodeh=10.0, per_kwh=2.0, per_kgco2=20.0)
-
-
-def test_output_efficiency_zero_output():
-    metrics = output_efficiency(0.0, 50.0, 10.0, EmissionsBreakdown.of_parts(5.0, 0.0))
-    assert (metrics.per_nodeh, metrics.per_kwh, metrics.per_kgco2) == (0.0, 0.0, 0.0)
-
-
-def test_output_efficiency_linear_in_output():
-    base = output_efficiency(100.0, 50.0, 10.0, EmissionsBreakdown.of_parts(5.0, 0.0))
-    double = output_efficiency(200.0, 50.0, 10.0, EmissionsBreakdown.of_parts(5.0, 0.0))
-    assert double.per_nodeh == pytest.approx(2 * base.per_nodeh)
-    assert double.per_kwh == pytest.approx(2 * base.per_kwh)
-    assert double.per_kgco2 == pytest.approx(2 * base.per_kgco2)
-
-
-def test_output_efficiency_rejects_zero_denominators():
-    breakdown = EmissionsBreakdown.of_parts(5.0, 0.0)
-    with pytest.raises(DomainError):
-        output_efficiency(100.0, 0.0, 10.0, breakdown)
-    with pytest.raises(DomainError):
-        output_efficiency(100.0, 50.0, 0.0, breakdown)
-    with pytest.raises(DomainError):
-        output_efficiency(100.0, 50.0, 10.0, EmissionsBreakdown.of_parts(0.0, 0.0))

@@ -15,7 +15,6 @@ from wattplan.freq_policy import (
     JobMix,
     PolicyDecision,
     PolicyRule,
-    derived_ratios,
     fleet_ratios,
     load_benchmark_table,
     recommend,
@@ -42,22 +41,6 @@ def table3():
 def _equal_weights(benchmarks):
     apps = [b.app_name for b in benchmarks]
     return {app: 1.0 / len(apps) for app in apps}
-
-
-def test_derived_ratios_vasp_cdte():
-    ratios = derived_ratios(_bench("VASP CdTe", 0.95, 0.88, nodes=8))
-    assert ratios.perf_loss == pytest.approx(0.05)
-    assert ratios.energy_saving == pytest.approx(0.12)
-
-
-def test_derived_ratios_lammps_power():
-    ratios = derived_ratios(_bench("LAMMPS Ethanol", 0.74, 0.92))
-    assert ratios.power_ratio == pytest.approx(0.6808)
-
-
-def test_derived_ratios_identity():
-    ratios = derived_ratios(_bench("noop", 1.0, 1.0))
-    assert (ratios.perf_loss, ratios.energy_saving, ratios.power_ratio) == (0.0, 0.0, 1.0)
 
 
 def test_recommend_keeps_castep():
@@ -172,7 +155,7 @@ def test_fleet_power_ratio_bounds_property():
         total = sum(raw)
         weights = {b.app_name: w / total for b, w in zip(benchmarks, raw)}
         fleet = fleet_ratios(benchmarks, weights, PolicyRule(rng.random()))
-        floor = min(derived_ratios(b).power_ratio for b in benchmarks)
+        floor = min(b.energy_ratio * b.perf_ratio for b in benchmarks)
         assert floor - 1e-9 <= fleet.fleet_power_ratio <= 1.0 + 1e-9
         # power ratio = energy * perf <= perf when energy <= 1
         assert fleet.fleet_throughput_ratio >= fleet.fleet_power_ratio - 1e-9
@@ -227,8 +210,7 @@ def _fleet_ratios_oracle(
             fleet_power += weight
             fleet_throughput += weight
         else:
-            ratios = derived_ratios(source)
-            fleet_power += weight * ratios.power_ratio
+            fleet_power += weight * (source.energy_ratio * source.perf_ratio)
             fleet_throughput += weight * source.perf_ratio
     return FleetRatios(
         fleet_power_ratio=fleet_power,
@@ -342,8 +324,8 @@ def test_bundled_table3_contents(table3):
 
 
 def test_bundled_table4_ratio_ranges(table4):
-    losses = [derived_ratios(b).perf_loss for b in table4]
-    savings = [derived_ratios(b).energy_saving for b in table4]
+    losses = [1.0 - b.perf_ratio for b in table4]
+    savings = [1.0 - b.energy_ratio for b in table4]
     assert min(losses) == pytest.approx(0.05)
     assert max(losses) == pytest.approx(0.26)
     assert min(savings) == pytest.approx(0.07)
@@ -351,8 +333,8 @@ def test_bundled_table4_ratio_ranges(table4):
 
 
 def test_bundled_table3_ratio_ranges(table3):
-    losses = [derived_ratios(b).perf_loss for b in table3]
-    savings = [derived_ratios(b).energy_saving for b in table3]
+    losses = [1.0 - b.perf_ratio for b in table3]
+    savings = [1.0 - b.energy_ratio for b in table3]
     assert max(losses) <= 0.01 + 1e-12
     assert min(savings) == pytest.approx(0.06)
     assert max(savings) == pytest.approx(0.10)
@@ -411,9 +393,3 @@ def test_load_table_invariant_violation_is_domain_error(tmp_path):
     )
     with pytest.raises(DomainError):
         load_benchmark_table(path)
-
-
-def test_frequency_setting_includes_unbenchmarked_low_point():
-    # the hardware exposes 1.5 GHz even though no ratios ship for it
-    assert FrequencySetting.F1500.value == "1.5GHz"
-    assert len(FrequencySetting) == 3

@@ -245,11 +245,12 @@ def _run_edited_csv(edit, *tails):
 @given(edit=st.sampled_from(sorted(CSV_INPUTS)).flatmap(_cell_edits))
 # a nodes count past int()'s digit limit, a stamp that leaves the datetime
 # range only once moved to UTC, a profile whose last step starts at the end of
-# that range, and a power that overflows the float range
+# that range, a power that overflows the float range, and one whose square does
 @example(edit=("benchmarks", "set", 1, 1, "9" * 5000))
 @example(edit=("series", "set", 1, 0, "0001-01-01T00:00:00+01:00"))
 @example(edit=("profile", "set", 3, 0, "9999-12-31T23:59:59Z"))
 @example(edit=("series", "set", 8, 1, "1e400"))
+@example(edit=("series", "set", 1, 1, "1e200"))
 # a field over csv's size limit
 @example(edit=("series", "set", 2, 1, "9" * 200_000))
 @example(edit=("benchmarks", "set", 1, 0, "9" * 200_000))

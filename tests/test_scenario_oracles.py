@@ -1,8 +1,8 @@
 """The scenario path against the implementations it replaced.
 
 `apply_power_factor`, `recommend`, `fleet_ratios` and `sweep_threshold` once
-built a `dataclasses.replace` copy per factor, a `DerivedRatios` per kept app
-and a tuple of comparisons per threshold. Those bodies are kept here as
+built a `dataclasses.replace` copy per factor, a `derived_ratios` object per
+kept app and a tuple of comparisons per threshold. Those bodies are kept here as
 references; the package's versions must give equal results, and equal errors,
 on random inputs.
 """
@@ -11,6 +11,7 @@ import copy
 import math
 import pickle
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from wattplan.freq_policy import (
     JobMix,
     PolicyDecision,
     PolicyRule,
-    derived_ratios,
     fleet_ratios,
     recommend,
 )
@@ -67,6 +67,19 @@ def replace_apply_power_factor(
         scaled = replace(spec, loaded_kw_per_unit=spec.idle_kw_per_unit + dynamic * factor)
     components = tuple(scaled if c.name == component else c for c in model.components)
     return replace(model, components=components)
+
+
+def derived_ratios(benchmark: AppBenchmark) -> SimpleNamespace:
+    """Loss/saving fractions and the mean-power ratio implied by a benchmark.
+
+    Mean power scales as energy over runtime, and runtime scales as 1/perf,
+    so power_ratio = energy_ratio * perf_ratio.
+    """
+    return SimpleNamespace(
+        perf_loss=1.0 - benchmark.perf_ratio,
+        energy_saving=1.0 - benchmark.energy_ratio,
+        power_ratio=benchmark.energy_ratio * benchmark.perf_ratio,
+    )
 
 
 def derived_recommend(benchmark: AppBenchmark, rule: PolicyRule) -> PolicyDecision:

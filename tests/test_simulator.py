@@ -22,7 +22,6 @@ from wattplan.simulator import (
     BIOS_DETERMINISM_POWER_FACTOR,
     JobMix,
     ScenarioConfig,
-    compare_scenarios,
     load_scenario_config,
     result_to_dict,
     run_scenario,
@@ -146,28 +145,6 @@ def test_constant_components_share_stays_small_at_high_utilization():
             + breakdown.per_component["file_systems"]
         ) / breakdown.total_kw
         assert constant_share < 0.15
-
-
-def test_compare_identical_scenarios_all_zero(baseline_config):
-    result = run_scenario(baseline_config)
-    deltas = compare_scenarios(result, result)
-    assert deltas == type(deltas)(0.0, 0.0, 0.0, 0.0, 0.0)
-
-
-def test_compare_bios_against_baseline(baseline_config):
-    base = run_scenario(baseline_config)
-    bios = run_scenario(replace(baseline_config, bios_factor=0.935))
-    deltas = compare_scenarios(base, bios)
-    assert deltas.pct_power == pytest.approx(-0.0548829, abs=1e-6)
-    assert deltas.power_kw == pytest.approx(-185.727, abs=1e-2)
-    assert deltas.throughput == 0.0
-
-
-def test_compare_rejects_mismatched_durations(baseline_config):
-    a = run_scenario(baseline_config)
-    b = run_scenario(replace(baseline_config, duration_hours=48.0))
-    with pytest.raises(DomainError, match="duration"):
-        compare_scenarios(a, b)
 
 
 def test_sweep_endpoints(stacked_config):

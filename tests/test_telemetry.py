@@ -219,6 +219,26 @@ def test_impact_requires_samples_on_both_sides():
         intervention_impact(series, T0 + _hours(1), _hours(5))
 
 
+def test_impact_takes_a_naive_change_time_as_utc():
+    series = synth_series([(100.0, 100, 3220.0, 20.0), (100.0, 100, 3010.0, 20.0)], seed=3)
+    aware = T0 + _hours(100)
+    naive = aware.replace(tzinfo=None)
+    for gap in (_hours(0), _hours(5)):
+        assert intervention_impact(series, naive, gap) == intervention_impact(series, aware, gap)
+    end = T0 + _hours(50)
+    assert window_mean(series, T0.replace(tzinfo=None), end) == window_mean(series, T0, end)
+
+
+@pytest.mark.filterwarnings("error")
+def test_powers_whose_squares_overflow_raise_a_domain_error():
+    series = _series([3220.0, 1e200, 3220.0, 3010.0, 3010.0, 3010.0])
+    with pytest.raises(DomainError, match="too large"):
+        detect_changepoint(series)
+    with pytest.raises(DomainError, match="too large"):
+        window_mean(series, T0, T0 + _hours(3))
+    assert window_mean(series, T0 + _hours(2), T0 + _hours(6)).count == 4
+
+
 def test_detect_clean_step():
     series = synth_series([(50.0, 50, 10.0, 0.0), (50.0, 50, 20.0, 0.0)], seed=0)
     found = detect_changepoint(series)

@@ -150,7 +150,8 @@ def _parse_canonical_rows(body, starts, ends):
 def reference_write(series, path):
     """write_series as it was before the chunked writer."""
     lines = ["timestamp,power_kw"]
-    lines.extend(f"{format_timestamp(t)},{v!r}" for t, v in series.samples())
+    rows = zip(series.timestamps, series.values_kw)
+    lines.extend(f"{format_timestamp(t)},{v!r}" for t, v in rows)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -869,7 +870,6 @@ def test_tuple_and_array_constructions_agree():
     assert series == same and hash(series) == hash(same)
     assert series.timestamps == stamps and series.values_kw == values
     assert repr(series) == f"PowerSeries(timestamps={stamps!r}, values_kw={values!r})"
-    assert list(series.samples()) == list(zip(stamps, values))
     for twin in (pickle.loads(pickle.dumps(series)), copy.deepcopy(series), copy.copy(series)):
         assert twin == series and type(twin) is PowerSeries
         assert not (twin.times_us.flags.writeable or twin.power_kw.flags.writeable)
