@@ -5,8 +5,10 @@ a plain-text table by default or JSON with --format json; power is printed in
 kW to 1 decimal, ratios to 4 decimals and percentages to 1 decimal. Exit
 codes: 0 success, 1 validation/domain error, 2 I/O or parse error.
 
-Only telemetry and synth import the telemetry module, and with it numpy; the
-other subcommands start without it.
+Each subcommand imports the modules it runs inside its function, and this
+module imports only what every subcommand needs (datafiles, errors and
+timestamps), so that a call loads no module it does not run: numpy, for one,
+loads only with telemetry and synth.
 """
 
 from __future__ import annotations
@@ -20,19 +22,7 @@ from pathlib import Path
 
 from .datafiles import check_fields, integer, number, read_json, resolve_input_path, string
 from .datafiles import to_json
-from .emissions import (
-    CarbonIntensityProfile,
-    check_mean_power,
-    classify_scenario,
-    embodied_from_dict,
-    priced_emissions,
-    recommended_objective,
-    run_intensity,
-)
 from .errors import DataFormatError, DomainError
-from .freq_policy import FleetRatios, JobMix, PolicyRule, fleet_ratios, load_benchmark_table
-from .power_model import FactorMode, apply_power_factor, load_model, system_power
-from .simulator import load_scenario_config, result_to_dict, run_scenario, sweep_threshold
 from .timestamps import format_timestamp, parse_timestamp
 
 
@@ -79,7 +69,9 @@ def _breakdown_table(per_component: dict[str, float], total_kw: float) -> str:
     return "\n".join(lines)
 
 
-def _parse_factor(text: str) -> tuple[str, float, FactorMode]:
+def _parse_factor(text: str) -> tuple:
+    from .power_model import FactorMode
+
     mode = FactorMode.WHOLE_DRAW
     body = text
     if text.endswith(":dynamic"):
@@ -96,6 +88,8 @@ def _parse_factor(text: str) -> tuple[str, float, FactorMode]:
 
 
 def _cmd_power(args: argparse.Namespace) -> int:
+    from .power_model import apply_power_factor, load_model, system_power
+
     model = load_model(resolve_input_path(args.model_file))
     for spec in args.factor or []:
         name, value, mode = _parse_factor(spec)
@@ -109,6 +103,8 @@ def _cmd_power(args: argparse.Namespace) -> int:
 
 
 def _cmd_policy(args: argparse.Namespace) -> int:
+    from .freq_policy import JobMix, PolicyRule, fleet_ratios, load_benchmark_table
+
     benchmarks = load_benchmark_table(resolve_input_path(args.benchmarks_file))
     if not benchmarks:
         raise DomainError("benchmark table is empty")
@@ -126,7 +122,7 @@ def _cmd_policy(args: argparse.Namespace) -> int:
     return 0
 
 
-def _policy_doc(threshold: float, weights: dict[str, float], fleet: FleetRatios) -> dict:
+def _policy_doc(threshold: float, weights: dict[str, float], fleet) -> dict:
     """The threshold first and each decision with its weight, then the ratios."""
     return {
         "threshold": threshold,
@@ -136,7 +132,7 @@ def _policy_doc(threshold: float, weights: dict[str, float], fleet: FleetRatios)
     }
 
 
-def _policy_table(weights: dict[str, float], fleet: FleetRatios) -> str:
+def _policy_table(weights: dict[str, float], fleet) -> str:
     apps = [d.app_name for d in fleet.decisions] + ["app_name"]
     width = max(len(app) for app in apps) + 2
     lines = [
@@ -216,6 +212,10 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
 
 
 def _cmd_emissions(args: argparse.Namespace) -> int:
+    from .emissions import CarbonIntensityProfile, check_mean_power, classify_scenario
+    from .emissions import embodied_from_dict, priced_emissions, recommended_objective
+    from .emissions import run_intensity
+
     if args.intensity is not None:
         profile = CarbonIntensityProfile.constant(args.intensity)
     else:
@@ -294,6 +294,8 @@ def _sweep_table(runs) -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulator import load_scenario_config, result_to_dict, run_scenario, sweep_threshold
+
     config = load_scenario_config(resolve_input_path(args.config_file))
     if args.sweep is not None:
         try:

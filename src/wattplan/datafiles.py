@@ -25,7 +25,6 @@ import math
 from dataclasses import fields, is_dataclass
 from datetime import datetime
 from enum import Enum
-from importlib.resources import files
 from pathlib import Path
 
 from .errors import DataFormatError, DomainError
@@ -36,7 +35,7 @@ BUILTIN_PREFIX = "builtin:"
 
 def data_path(name: str) -> Path:
     """Filesystem path of a bundled data file."""
-    path = Path(str(files("wattplan").joinpath("data", name)))
+    path = Path(__file__).parent / "data" / name
     if not path.is_file():
         raise FileNotFoundError(f"no bundled data file named {name!r}")
     return path

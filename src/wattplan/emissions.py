@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .datafiles import check_fields, number, timed_values
 from .errors import DataFormatError, DomainError
-from .timestamps import format_timestamp
+from .timestamps import aware, format_timestamp
 
 # Carbon-intensity bands (gCO2/kWh) separating the three emissions regimes.
 # Both band edges belong to the balanced regime.
@@ -82,6 +82,7 @@ class CarbonIntensityProfile:
 
     A series value holds from its timestamp until the next timestamp; the last
     value holds indefinitely. Times before the first entry are not covered.
+    Naive datetimes, in the series and in queries, are taken as UTC.
     """
 
     constant_g_per_kwh: float | None = None
@@ -99,8 +100,14 @@ class CarbonIntensityProfile:
         object.__setattr__(self, "series", tuple(self.series))
         if not self.series:
             raise DomainError("series profile must contain at least one entry")
-        # each check is a C-level pass; the loops only find the fault to name
         times = self._times
+        # naive stamps are taken as UTC; the points are rebuilt only if a stamp is naive
+        if None in map(operator.attrgetter("tzinfo"), times):
+            times = tuple(map(aware, times))
+            object.__setattr__(self, "_times", times)
+            points = tuple(zip(times, map(operator.itemgetter(1), self.series)))
+            object.__setattr__(self, "series", points)
+        # each check is a C-level pass; the loops only find the fault to name
         values = tuple(map(operator.itemgetter(1), self.series))
         if not all(map(operator.lt, times, times[1:])):
             i = next(i for i in range(len(times)) if times[i + 1] <= times[i])
@@ -147,6 +154,7 @@ class CarbonIntensityProfile:
         if self.constant_g_per_kwh is not None:
             return self.constant_g_per_kwh
         assert self.series is not None
+        when = aware(when)
         idx = bisect_right(self._times, when) - 1
         if idx < 0:
             raise DomainError(
@@ -161,6 +169,7 @@ class CarbonIntensityProfile:
         the interval: only the covered steps are summed, in time order. The
         first call on a series also weighs each whole step once, in O(n).
         """
+        start, end = aware(start), aware(end)
         if end <= start:
             raise DomainError(f"interval end {end} must be after start {start}")
         if self.constant_g_per_kwh is not None:
@@ -270,7 +279,7 @@ def run_intensity(
     """
     if not (math.isfinite(duration_hours) and duration_hours >= 0):
         raise DomainError(f"duration must be >= 0 hours, got {duration_hours}")
-    anchor = start if start is not None else (profile.start_time() or _EPOCH)
+    anchor = aware(start) if start is not None else (profile.start_time() or _EPOCH)
     try:
         end = anchor + timedelta(hours=duration_hours)
     except OverflowError:
@@ -296,10 +305,11 @@ def priced_emissions(
 ) -> EmissionsBreakdown:
     """Scope-2 plus amortized scope-3 emissions for a run at constant mean power,
     its energy priced at one mean intensity in g/kWh. With `embodied=None` the
-    result is scope-2 only: scope-3 is exactly 0.0 and the total equals scope-2."""
-    check_mean_power(mean_power_kw)
-    if not (math.isfinite(duration_hours) and duration_hours >= 0):
-        raise DomainError(f"duration must be >= 0 hours, got {duration_hours}")
+    result is scope-2 only: scope-3 is exactly 0.0 and the total equals scope-2.
+
+    The caller has checked the mean power (check_mean_power) and the duration
+    (run_intensity); the intensity is checked here, since a mean over very
+    large steps can be inf, and so is the energy, which can overflow."""
     if not (math.isfinite(intensity) and intensity >= 0):
         raise DomainError(f"carbon intensity must be >= 0 g/kWh, got {intensity}")
     energy_kwh = mean_power_kw * duration_hours

@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .datafiles import timed_values
 from .errors import DataFormatError, DomainError
-from .timestamps import format_timestamp
+from .timestamps import aware, format_timestamp
 
 DEFAULT_SERIES_START = datetime(2022, 1, 1, tzinfo=timezone.utc)
 
@@ -32,14 +32,9 @@ _CHUNK = 1 << 12  # rows per batch of timestamps and write_series, which bounds 
 _BATCH = 1 << 14  # rows per batch of the canonical parse
 
 
-def _aware(ts: datetime) -> datetime:
-    """ts, with a naive timestamp taken as UTC."""
-    return ts.replace(tzinfo=timezone.utc) if ts.tzinfo is None else ts
-
-
 def _micros(ts: datetime) -> int:
     """Microseconds since the Unix epoch; naive timestamps are taken as UTC."""
-    return (_aware(ts) - _EPOCH) // _ONE_US
+    return (aware(ts) - _EPOCH) // _ONE_US
 
 
 def _instant(us) -> datetime:
@@ -466,7 +461,7 @@ def _row_formats(times_us: np.ndarray) -> str:
 
 def window_mean(series: PowerSeries, start: datetime, end: datetime) -> WindowStats:
     """Mean and population standard deviation of samples within [start, end)."""
-    start, end = _aware(start), _aware(end)
+    start, end = aware(start), aware(end)
     if end <= start:
         raise DomainError(
             f"window end {format_timestamp(end)} must be after start {format_timestamp(start)}"
@@ -502,7 +497,7 @@ def intervention_impact(
         raise DomainError(f"guard gap must be >= 0 hours, got {gap_hours}")
     if len(series) == 0:
         raise DomainError("series has no samples")
-    change_time = _aware(change_time)
+    change_time = aware(change_time)
     try:
         before_end = change_time - guard_gap
         after_start = change_time + guard_gap
@@ -527,12 +522,18 @@ def intervention_impact(
     if before.mean_kw == 0:
         raise DomainError("before-window mean is zero; percentage change is undefined")
     delta = after.mean_kw - before.mean_kw
+    pct_change = delta / before.mean_kw
+    if math.isinf(pct_change):
+        raise DomainError(
+            f"before-window mean {before.mean_kw} kW is too small for the percentage "
+            f"change to be a float"
+        )
     return InterventionReport(
         change_time=change_time,
         before=before,
         after=after,
         delta_kw=delta,
-        pct_change=delta / before.mean_kw,
+        pct_change=pct_change,
     )
 
 

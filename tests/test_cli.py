@@ -815,3 +815,45 @@ def test_python_dash_m_runs_the_cli(planning_cycle, tmp_path, module):
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert proc.stderr.startswith(b"error: ")
+
+
+# -- each call loads only the wattplan modules it runs --------------------------
+
+# the modules every call loads: the CLI and what it imports at its top
+CLI_MODULES = {"cli", "datafiles", "errors", "timestamps"}
+# what each call of the planning cycle loads besides, to run its subcommand
+RUN_MODULES = {
+    "synth": {"telemetry"},
+    "telemetry_detect": {"telemetry"},
+    "power": {"power_model"},
+    "policy": {"freq_policy"},
+    "simulate": {"simulator", "emissions", "freq_policy", "power_model"},
+    "simulate_sweep": {"simulator", "emissions", "freq_policy", "power_model"},
+    "emissions_intensity": {"emissions"},
+    "emissions_profile": {"emissions"},
+}
+# runs the CLI, then prints the wattplan modules loaded to stderr
+LOADED_MODULES_CHILD = (
+    "import sys; from wattplan.cli import main; code = main(sys.argv[1:]); "
+    "print(*sorted(m for m in sys.modules if m.startswith('wattplan.')), file=sys.stderr); "
+    "sys.exit(code)"
+)
+
+
+def test_every_planning_call_has_its_module_set(planning_cycle):
+    cycle, _ = planning_cycle
+    assert set(RUN_MODULES) == set(cycle)
+
+
+@pytest.mark.parametrize("label", list(RUN_MODULES))
+def test_each_planning_call_loads_only_the_modules_it_runs(planning_cycle, label):
+    cycle, work = planning_cycle
+    if label == "telemetry_detect":
+        # the series it reads is the one synth writes
+        proc = _child(LOADED_MODULES_CHILD, *cycle["synth"], cwd=work)
+        assert proc.returncode == 0, proc.stderr.decode()
+    proc = _child(LOADED_MODULES_CHILD, *cycle[label], cwd=work)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (PERFBENCH / "golden" / f"{label}.out").read_bytes()
+    loaded = set(proc.stderr.decode().split())
+    assert loaded == {f"wattplan.{module}" for module in CLI_MODULES | RUN_MODULES[label]}

@@ -16,6 +16,7 @@ from wattplan.emissions import (
     classify_scenario,
     lifetime_emissions,
     recommended_objective,
+    run_intensity,
     scope2_emissions,
 )
 from wattplan.datafiles import to_json
@@ -554,3 +555,59 @@ def test_lifetime_emissions_series_anchored_at_series_start():
     breakdown = lifetime_emissions(100.0, 2.0, profile, EmbodiedEmissions(0.0, 1.0))
     # one hour at 10 plus one hour at 30 -> 200 kWh at an effective 20 g/kWh
     assert breakdown.scope2_kg == pytest.approx(4.0)
+
+
+# -- naive datetimes are taken as UTC, as PowerSeries and parse_timestamp take them
+
+
+def _naive(ts: datetime) -> datetime:
+    return ts.replace(tzinfo=None)
+
+
+def test_a_series_of_naive_or_mixed_stamps_equals_one_of_utc_stamps():
+    points = [(T0, 10.0), (T0 + _hours(1), 20.0), (T0 + _hours(2), 30.0)]
+    aware = CarbonIntensityProfile.from_series(points)
+    naive = CarbonIntensityProfile.from_series([(_naive(ts), v) for ts, v in points])
+    mixed = CarbonIntensityProfile.from_series(
+        [(ts if i % 2 else _naive(ts), v) for i, (ts, v) in enumerate(points)]
+    )
+    assert naive == aware
+    assert mixed == aware
+    assert naive.start_time() == T0
+    with pytest.raises(DomainError, match="strictly increasing"):
+        CarbonIntensityProfile.from_series([(T0, 10.0), (_naive(T0), 20.0)])
+
+
+@pytest.mark.parametrize("kind", ["series", "constant"])
+def test_naive_query_instants_give_what_utc_ones_give(kind):
+    if kind == "series":
+        profile = CarbonIntensityProfile.from_series(
+            [(T0, 10.0), (T0 + _hours(1), 20.0), (T0 + _hours(2), 30.0)]
+        )
+    else:
+        profile = CarbonIntensityProfile.constant(42.0)
+    when, start, end = T0 + _hours(1.5), T0 + _hours(0.5), T0 + _hours(2.5)
+    assert profile.intensity_at(_naive(when)) == profile.intensity_at(when)
+    assert profile.mean_intensity(_naive(start), _naive(end)) == profile.mean_intensity(start, end)
+    assert profile.mean_intensity(_naive(start), end) == profile.mean_intensity(start, end)
+    assert run_intensity(profile, 2.0, _naive(start)) == run_intensity(profile, 2.0, start)
+    assert lifetime_emissions(100.0, 2.0, profile, None, _naive(start)) == lifetime_emissions(
+        100.0, 2.0, profile, None, start
+    )
+    interval = [((_naive(start), _naive(end)), 5.0)]
+    assert scope2_emissions(interval, profile) == scope2_emissions([((start, end), 5.0)], profile)
+
+
+def test_naive_instants_before_a_series_are_refused_as_utc_ones_are():
+    profile = CarbonIntensityProfile.from_series([(T0, 10.0)])
+    early = T0 - _hours(1)
+    for query in (
+        lambda ts: profile.intensity_at(ts),
+        lambda ts: profile.mean_intensity(ts, T0 + _hours(1)),
+        lambda ts: run_intensity(profile, 2.0, ts),
+    ):
+        with pytest.raises(DomainError) as aware_error:
+            query(early)
+        with pytest.raises(DomainError) as naive_error:
+            query(_naive(early))
+        assert str(naive_error.value) == str(aware_error.value)

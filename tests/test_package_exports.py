@@ -1,8 +1,12 @@
-"""Every name the package exports is its module's object, and the telemetry
-names come without importing telemetry (and numpy) until one of them is used."""
+"""Every name the package exports is its module's object, and no module loads
+until one of its names is used: the telemetry names bring in numpy only then."""
 
 import importlib
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -113,3 +117,24 @@ def test_job_mix_resolves_from_the_package_and_both_modules():
     from wattplan import freq_policy, simulator
 
     assert wattplan.JobMix is freq_policy.JobMix is simulator.JobMix
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = "import sys, wattplan; print(*(m for m in sys.modules if m.startswith('wattplan.')))"
+    src = Path(wattplan.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.strip() == b""
+
+
+def test_import_star_binds_every_export():
+    namespace = {}
+    exec("from wattplan import *", namespace)
+    del namespace["__builtins__"]
+    every = {name for names in EXPORTS.values() for name in names}
+    assert len(every) == 50
+    assert set(namespace) == every
+    assert all(value is getattr(wattplan, name) for name, value in namespace.items())

@@ -332,3 +332,11 @@ def test_series_validation():
         PowerSeries(timestamps=(T0,), values_kw=(float("inf"),))
     with pytest.raises(DomainError):
         PowerSeries(timestamps=(T0, T0 + _hours(1)), values_kw=(1.0,))
+
+
+@pytest.mark.parametrize("tiny, after", [(1e-310, 1.0), (5e-324, 1.0), (1e-300, 1e10)])
+def test_impact_refuses_a_before_mean_too_small_for_a_percentage(tiny, after):
+    # each change over its before mean passes the float range
+    series = _series([tiny] * 3 + [after] * 3)
+    with pytest.raises(DomainError, match=f"before-window mean {tiny} kW is too small"):
+        intervention_impact(series, T0 + _hours(3))
