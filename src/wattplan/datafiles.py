@@ -34,9 +34,10 @@ BUILTIN_PREFIX = "builtin:"
 
 
 def data_path(name: str) -> Path:
-    """Filesystem path of a bundled data file."""
+    """Filesystem path of a bundled data file, named by its bare file name;
+    a name with a directory part (`..`, an absolute path, `sub/`) names none."""
     path = Path(__file__).parent / "data" / name
-    if not path.is_file():
+    if Path(name).name != name or not path.is_file():
         raise FileNotFoundError(f"no bundled data file named {name!r}")
     return path
 

@@ -221,7 +221,7 @@ def classify_scenario(intensity_g_per_kwh: float) -> EmissionsScenario:
     Below 30 g/kWh embodied emissions dominate; above 100 g/kWh operational
     emissions dominate; the closed band in between is balanced.
     """
-    if intensity_g_per_kwh < 0:
+    if not (math.isfinite(intensity_g_per_kwh) and intensity_g_per_kwh >= 0):
         raise DomainError(f"carbon intensity must be >= 0 g/kWh, got {intensity_g_per_kwh}")
     if intensity_g_per_kwh < LOW_INTENSITY_CEILING:
         return EmissionsScenario.SCOPE3_DOMINATED
@@ -307,14 +307,20 @@ def priced_emissions(
     its energy priced at one mean intensity in g/kWh. With `embodied=None` the
     result is scope-2 only: scope-3 is exactly 0.0 and the total equals scope-2.
 
-    The caller has checked the mean power (check_mean_power) and the duration
-    (run_intensity); the intensity is checked here, since a mean over very
-    large steps can be inf, and so is the energy, which can overflow."""
+    The caller has checked the mean power (check_mean_power) and the duration,
+    and took the intensity from run_intensity, a mean of steps each checked
+    finite and >= 0. So each check here catches a product of inputs in range
+    that passes the float range: the run's mean intensity, whose weighted sum
+    can overflow, and the energy."""
     if not (math.isfinite(intensity) and intensity >= 0):
-        raise DomainError(f"carbon intensity must be >= 0 g/kWh, got {intensity}")
+        raise DomainError(
+            f"the run's mean carbon intensity exceeds the float range, got {intensity} g/kWh"
+        )
     energy_kwh = mean_power_kw * duration_hours
     if math.isinf(energy_kwh):
-        raise DomainError(f"interval energy must be >= 0 kWh, got {energy_kwh}")
+        raise DomainError(
+            f"energy exceeds the float range: a mean {mean_power_kw} kW for {duration_hours} h"
+        )
     scope2 = energy_kwh * intensity / 1000.0
     scope3 = 0.0 if embodied is None else amortized_scope3(embodied, duration_hours)
     return EmissionsBreakdown.of_parts(scope2, scope3)

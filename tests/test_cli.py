@@ -87,6 +87,13 @@ def test_power_bad_factor_syntax(capsys):
     assert code == 1
 
 
+def test_power_factor_value_must_be_a_number(capsys):
+    factor = ["--factor", "compute_nodes=abc"]
+    code, out, err = _run(capsys, "power", "builtin:archer2_system.json", "-u", "1.0", *factor)
+    _assert_rejected(code, out, err, 1)
+    assert err == "error: factor value is not a number: 'abc'\n"
+
+
 def test_power_missing_file_exits_2(capsys, tmp_path):
     code, _, err = _run(capsys, "power", str(tmp_path / "nope.json"), "-u", "1.0")
     assert code == 2
@@ -117,6 +124,14 @@ def test_policy_custom_weights(capsys, tmp_path):
     assert len(doc["decisions"]) == 1
 
 
+def test_policy_on_a_header_only_table_is_domain_error(capsys, tmp_path):
+    table = tmp_path / "table.csv"
+    table.write_text("app_name,nodes,intervention,perf_ratio,energy_ratio\n")
+    code, out, err = _run(capsys, "policy", str(table))
+    _assert_rejected(code, out, err, 1)
+    assert err == "error: benchmark table is empty\n"
+
+
 def test_policy_on_bios_table_is_domain_error(capsys):
     code, _, err = _run(capsys, "policy", "builtin:table3_bios.csv", "--threshold", "0.10")
     assert code == 1
@@ -137,6 +152,24 @@ def test_telemetry_detect(capsys, step_csv):
     doc = _run_json(capsys, "telemetry", str(step_csv), "--detect")
     assert doc["change_time"] == format_timestamp(T0 + timedelta(hours=500))
     assert 0.0 <= doc["score"] <= 1.0
+
+
+def test_telemetry_detect_table(capsys, step_csv):
+    # the table view of the --detect document, score row included
+    code, out, err = _run(capsys, "telemetry", str(step_csv), "--detect")
+    assert (code, err) == (0, "")
+    assert out == (
+        "change_time       2022-01-21T20:00:00Z\n"
+        "score             0.9654\n"
+        "before_samples    500\n"
+        "before_mean_kw    3220.0\n"
+        "before_stddev_kw  19.2\n"
+        "after_samples     500\n"
+        "after_mean_kw     3010.0\n"
+        "after_stddev_kw   20.6\n"
+        "delta_kw          -210.0\n"
+        "pct_change        -6.5%\n"
+    )
 
 
 def test_telemetry_empty_file_exits_2(capsys, tmp_path):
@@ -649,6 +682,89 @@ def test_simulate_scope3_overflow_names_the_embodied_total(capsys, tmp_path):
     code, out, err = _run(capsys, "simulate", scenario, "--sweep", "0,0.1")
     _assert_one_error_line(code, out, err)
     assert err.endswith(", embodied 1e+308 kg over 1.0 h\n")
+
+
+def test_simulate_overflow_names_a_series_carbon_by_its_largest_step(capsys, tmp_path):
+    carbon = tmp_path / "carbon.csv"
+    carbon.write_text(
+        "timestamp,intensity_g_per_kwh\n2022-06-01T00:00:00Z,95.5\n2022-06-01T06:00:00Z,120\n"
+    )
+    embodied = {"total_kgco2e": 1e308, "service_lifetime_hours": 1.0}
+    doc = _scenario_doc(carbon={"series_csv": str(carbon)}, embodied=embodied)
+    scenario = _write_json(tmp_path / "scenario.json", doc)
+    code, out, err = _run(capsys, "simulate", scenario)
+    _assert_one_error_line(code, out, err)
+    assert "carbon intensity up to 120.0 g/kWh, embodied 1e+308 kg over 1.0 h\n" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["power", "MODEL", "-u", "1"],
+        ["emissions", "--intensity", "1e308", "--power-kw", "2530", "--hours", "24"],
+    ],
+    ids=["power", "emissions"],
+)
+def test_json_rejects_a_non_finite_result_as_the_table_does(capsys, tmp_path, argv):
+    doc = _model_doc()
+    doc["components"][0].update(idle_kw_per_unit=1e308, loaded_kw_per_unit=1e308)
+    model = _write_json(tmp_path / "model.json", doc)
+    argv = [model if arg == "MODEL" else arg for arg in argv]
+    code, out, err = _run(capsys, *argv, "--format", "json")
+    _assert_one_error_line(code, out, err)
+    assert err == "error: a result is not finite (inf)\n"
+
+
+def test_emissions_energy_overflow_names_the_power_and_hours(capsys):
+    code, out, err = _run(
+        capsys, "emissions", "--intensity", "1", "--power-kw", "1e305", "--hours", "10000"
+    )
+    _assert_one_error_line(code, out, err)
+    assert err == "error: energy exceeds the float range: a mean 1e+305 kW for 10000.0 h\n"
+
+
+def test_emissions_mean_intensity_overflow_is_named(capsys, tmp_path):
+    # every step is in range; their weighted sum over the run is not
+    profile = tmp_path / "profile.csv"
+    profile.write_text(
+        "timestamp,intensity_g_per_kwh\n2022-06-01T00:00:00Z,1e308\n"
+        "2022-06-01T01:00:00Z,1e308\n2022-06-01T02:00:00Z,1\n"
+    )
+    code, out, err = _run(
+        capsys, "emissions", "--profile", str(profile), "--power-kw", "1", "--hours", "3"
+    )
+    _assert_one_error_line(code, out, err)
+    assert err == "error: the run's mean carbon intensity exceeds the float range, got inf g/kWh\n"
+
+
+def test_emissions_header_only_profile_exits_2(capsys, tmp_path):
+    profile = tmp_path / "profile.csv"
+    profile.write_text("timestamp,intensity_g_per_kwh\n")
+    code, out, err = _run(
+        capsys, "emissions", "--profile", str(profile), "--power-kw", "1", "--hours", "3"
+    )
+    _assert_rejected(code, out, err, 2)
+    assert err == f"error: {profile}: no intensity rows found\n"
+
+
+def test_unknown_builtin_name_exits_2(capsys):
+    code, out, err = _run(capsys, "policy", "builtin:nope.csv")
+    _assert_rejected(code, out, err, 2)
+    assert err == "error: no bundled data file named 'nope.csv'\n"
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["../data/table4_freq.csv", "ABSOLUTE", "sub/table4_freq.csv", "./table4_freq.csv"],
+    ids=["parent", "absolute", "subdirectory", "dot"],
+)
+def test_builtin_takes_only_a_bare_file_name(capsys, name):
+    # a name with a directory part names no bundled file, even one that exists
+    if name == "ABSOLUTE":
+        name = str(data_path("table4_freq.csv"))
+    code, out, err = _run(capsys, "policy", f"builtin:{name}")
+    _assert_rejected(code, out, err, 2)
+    assert err == f"error: no bundled data file named {name!r}\n"
 
 
 @pytest.mark.parametrize(

@@ -47,9 +47,18 @@ def test_classify_scenario_bands(intensity, expected):
     assert classify_scenario(intensity) is expected
 
 
-def test_classify_scenario_rejects_negative():
-    with pytest.raises(DomainError):
-        classify_scenario(-1.0)
+@pytest.mark.parametrize("intensity", [-1.0, float("nan"), float("inf")])
+def test_classify_scenario_rejects_negative(intensity):
+    with pytest.raises(DomainError, match="carbon intensity must be >= 0 g/kWh"):
+        classify_scenario(intensity)
+
+
+@pytest.mark.parametrize(
+    "fields", [{}, {"constant_g_per_kwh": 1.0, "series": ((T0, 1.0),)}], ids=["neither", "both"]
+)
+def test_profile_is_either_constant_or_a_series(fields):
+    with pytest.raises(DomainError, match="either constant or a series, not both"):
+        CarbonIntensityProfile(**fields)
 
 
 def test_classify_scenario_partitions_nonnegative_axis():

@@ -139,6 +139,13 @@ def test_window_mean_empty_window():
         window_mean(series, T0 + _hours(10), T0 + _hours(20))
 
 
+def test_window_mean_rejects_an_end_not_after_its_start():
+    series = _series([1.0, 2.0])
+    for end in (T0, T0 - _hours(1)):
+        with pytest.raises(DomainError, match="must be after start"):
+            window_mean(series, T0, end)
+
+
 def test_window_mean_on_noisy_segment_near_target():
     series = synth_series([(500.0, 500, 3220.0, 20.0)], seed=20220501)
     stats = window_mean(series, T0, T0 + _hours(500))
@@ -332,6 +339,24 @@ def test_series_validation():
         PowerSeries(timestamps=(T0,), values_kw=(float("inf"),))
     with pytest.raises(DomainError):
         PowerSeries(timestamps=(T0, T0 + _hours(1)), values_kw=(1.0,))
+
+
+def test_series_is_never_equal_to_another_type():
+    series = _series([1.0])
+    assert series.__eq__(1) is NotImplemented
+    assert series != 1
+    assert series == _series([1.0])
+
+
+def test_impact_on_an_empty_series():
+    with pytest.raises(DomainError, match="series has no samples"):
+        intervention_impact(_series([]), T0)
+
+
+def test_impact_refuses_a_zero_before_mean():
+    series = _series([0.0] * 3 + [5.0] * 3)
+    with pytest.raises(DomainError, match="before-window mean is zero"):
+        intervention_impact(series, T0 + _hours(3))
 
 
 @pytest.mark.parametrize("tiny, after", [(1e-310, 1.0), (5e-324, 1.0), (1e-300, 1e10)])
