@@ -4,9 +4,10 @@ Subcommands: power, policy, telemetry, emissions, simulate, synth. Each
 subcommand returns one document, and main prints it as JSON with --format
 json or, by default, as the plain-text table its subparser names: a
 rendering of that document, with power in kW to 1 decimal, ratios to 4
-decimals and percentages to 1 decimal. A result that is not finite gives
-the same single error line in either format. Exit codes: 0 success, 1
-validation/domain error, 2 I/O or parse error.
+decimals and percentages to 1 decimal. A product past the float range is
+refused by the library step that makes it; any other result that is not
+finite gives the same single error line in either format. Exit codes: 0
+success, 1 validation/domain error, 2 I/O or parse error.
 
 Each subcommand imports the modules it runs inside its function, and this
 module imports only what every subcommand needs (datafiles, errors and

@@ -170,7 +170,17 @@ def integer(doc: dict, key: str, where: str) -> int:
 
 
 def string(doc: dict, key: str, where: str, default: str | None = None) -> str:
-    return _field(doc, key, where, str, "a string", default)
+    """doc[key] as a str that a file name and UTF-8 output can hold: one with
+    a NUL character or a lone surrogate (a JSON escape such as \\ud800) is
+    rejected."""
+    value = _field(doc, key, where, str, "a string", default)
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise DataFormatError(f"{where}: {key!r} holds a lone surrogate") from None
+    if "\0" in value:
+        raise DataFormatError(f"{where}: {key!r} holds a NUL character")
+    return value
 
 
 def to_json(value):

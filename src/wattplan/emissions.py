@@ -306,12 +306,9 @@ def priced_emissions(
     """Scope-2 plus amortized scope-3 emissions for a run at constant mean power,
     its energy priced at one mean intensity in g/kWh. With `embodied=None` the
     result is scope-2 only: scope-3 is exactly 0.0 and the total equals scope-2.
-
-    The caller has checked the mean power (check_mean_power) and the duration,
-    and took the intensity from run_intensity, a mean of steps each checked
-    finite and >= 0. So each check here catches a product of inputs in range
-    that passes the float range: the run's mean intensity, whose weighted sum
-    can overflow, and the energy."""
+    The mean power and the duration are taken as checked; a DomainError names
+    the inputs when the intensity is not finite and >= 0, or when the energy
+    or the total passes the float range."""
     if not (math.isfinite(intensity) and intensity >= 0):
         raise DomainError(
             f"the run's mean carbon intensity exceeds the float range, got {intensity} g/kWh"
@@ -321,9 +318,17 @@ def priced_emissions(
         raise DomainError(
             f"energy exceeds the float range: a mean {mean_power_kw} kW for {duration_hours} h"
         )
-    scope2 = energy_kwh * intensity / 1000.0
     scope3 = 0.0 if embodied is None else amortized_scope3(embodied, duration_hours)
-    return EmissionsBreakdown.of_parts(scope2, scope3)
+    breakdown = EmissionsBreakdown.of_parts(energy_kwh * intensity / 1000.0, scope3)
+    if math.isfinite(breakdown.total_kg):
+        return breakdown
+    message = (
+        f"energy or emissions exceed the float range: {duration_hours} h at a mean "
+        f"{mean_power_kw} kW, carbon intensity {intensity} g/kWh"
+    )
+    if embodied is not None:
+        message += f", embodied {embodied.total_kgco2e} kg over {embodied.service_lifetime_hours} h"
+    raise DomainError(message)
 
 
 def lifetime_emissions(

@@ -104,11 +104,11 @@ class JobMix:
 
     @classmethod
     def equal(cls, apps) -> "JobMix":
-        apps = list(apps)
+        """An equal share for each distinct app, in the order first named."""
+        apps = dict.fromkeys(apps)
         if not apps:
             raise DomainError("an equal mix needs at least one app")
-        share = 1.0 / len(apps)
-        return cls(weights={app: share for app in apps})
+        return cls(weights=dict.fromkeys(apps, 1.0 / len(apps)))
 
     @classmethod
     def from_dict(cls, doc, where: str) -> "JobMix":

@@ -123,9 +123,16 @@ def component_power(spec: ComponentSpec, utilization: float) -> float:
 
 
 def system_power(model: SystemModel, utilization: float) -> PowerBreakdown:
-    """Evaluate every component at the given utilization and sum the draws."""
+    """Evaluate every component at the given utilization and sum the draws;
+    finite draws whose total passes the float range raise a DomainError."""
     per_component = {c.name: component_power(c, utilization) for c in model.components}
-    return PowerBreakdown(per_component=per_component, total_kw=sum(per_component.values()))
+    total_kw = sum(per_component.values())
+    if not math.isfinite(total_kw):
+        raise DomainError(
+            f"model {model.name!r}: total power exceeds the float range "
+            f"at utilization {utilization}"
+        )
+    return PowerBreakdown(per_component=per_component, total_kw=total_kw)
 
 
 def apply_power_factor(

@@ -86,8 +86,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     policy's fleet power ratio then scales only its dynamic (loaded minus
     idle) draw, so no policy can push compute power below the idle floor.
     Scope-3 emissions are reported as zero, with a flag, when no embodied
-    emissions are configured. Finite inputs whose energy or emissions pass the
-    float range raise a DomainError that names them.
+    emissions are configured. A power or emissions total past the float range
+    raises the DomainError of the step that makes it.
     """
     if config.model.compute_component is None:
         raise DomainError(f"model {config.model.name!r} has no compute component to scale")
@@ -96,45 +96,20 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     fleet = fleet_ratios(config.benchmarks, config.mix.weights, config.rule)
     model = apply_power_factor(model, compute, fleet.fleet_power_ratio, FactorMode.DYNAMIC_ONLY)
     breakdown = system_power(model, config.utilization)
-    energy_kwh = breakdown.total_kw * config.duration_hours
-    if not math.isfinite(energy_kwh):
-        raise _overflow(config, breakdown.total_kw)
     emissions = lifetime_emissions(
         breakdown.total_kw, config.duration_hours, config.carbon, config.embodied
     )
-    if not math.isfinite(emissions.total_kg):
-        raise _overflow(config, breakdown.total_kw)
     return ScenarioResult(
         name=config.name,
         mean_power_kw=breakdown.total_kw,
         breakdown=breakdown,
-        energy_kwh=energy_kwh,
+        energy_kwh=breakdown.total_kw * config.duration_hours,
         emissions=emissions,
         scope3_unset=config.embodied is None,
         throughput_index=fleet.fleet_throughput_ratio,
         decisions=fleet.decisions,
         duration_hours=config.duration_hours,
     )
-
-
-def _overflow(config: ScenarioConfig, mean_power_kw: float) -> DomainError:
-    """The error for finite inputs whose energy or emissions pass the float range."""
-    carbon = config.carbon
-    if carbon.constant_g_per_kwh is not None:
-        intensity = f"{carbon.constant_g_per_kwh} g/kWh"
-    else:
-        intensity = f"up to {max(value for _, value in carbon.series)} g/kWh"
-    message = (
-        f"scenario {config.name!r}: energy or emissions exceed the float range: "
-        f"{config.duration_hours} h at a mean {mean_power_kw} kW, "
-        f"carbon intensity {intensity}"
-    )
-    if config.embodied is not None:
-        message += (
-            f", embodied {config.embodied.total_kgco2e} kg over "
-            f"{config.embodied.service_lifetime_hours} h"
-        )
-    return DomainError(message)
 
 
 def sweep_threshold(config: ScenarioConfig, thresholds) -> list[tuple[float, ScenarioResult]]:

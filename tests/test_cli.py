@@ -632,7 +632,7 @@ def test_synth_rejects_samples_closer_than_a_microsecond(capsys, tmp_path):
 
 
 _OVERFLOW_MESSAGE = (
-    "error: scenario 'scenario': energy or emissions exceed the float range: "
+    "error: energy or emissions exceed the float range: "
     "24.0 h at a mean 3048.1343174880003 kW, carbon intensity 1e+308 g/kWh\n"
 )
 
@@ -640,10 +640,12 @@ _OVERFLOW_MESSAGE = (
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["power", "MODEL", "-u", "1"], "error: a result is not finite (inf)\n"),
+        (["power", "MODEL", "-u", "1"],
+         "error: model 'archer2': total power exceeds the float range at utilization 1.0\n"),
         (["simulate", "SCENARIO"], _OVERFLOW_MESSAGE),
         (["emissions", "--intensity", "1e308", "--power-kw", "2530", "--hours", "24"],
-         "error: a result is not finite (inf)\n"),
+         "error: energy or emissions exceed the float range: "
+         "24.0 h at a mean 2530.0 kW, carbon intensity 1e+308 g/kWh\n"),
     ],
     ids=["power", "simulate", "emissions"],
 )
@@ -684,7 +686,7 @@ def test_simulate_scope3_overflow_names_the_embodied_total(capsys, tmp_path):
     assert err.endswith(", embodied 1e+308 kg over 1.0 h\n")
 
 
-def test_simulate_overflow_names_a_series_carbon_by_its_largest_step(capsys, tmp_path):
+def test_simulate_overflow_names_a_series_carbon_by_its_run_mean(capsys, tmp_path):
     carbon = tmp_path / "carbon.csv"
     carbon.write_text(
         "timestamp,intensity_g_per_kwh\n2022-06-01T00:00:00Z,95.5\n2022-06-01T06:00:00Z,120\n"
@@ -694,23 +696,19 @@ def test_simulate_overflow_names_a_series_carbon_by_its_largest_step(capsys, tmp
     scenario = _write_json(tmp_path / "scenario.json", doc)
     code, out, err = _run(capsys, "simulate", scenario)
     _assert_one_error_line(code, out, err)
-    assert "carbon intensity up to 120.0 g/kWh, embodied 1e+308 kg over 1.0 h\n" in err
+    # 6 h at 95.5 and 18 h at 120 g/kWh
+    assert "carbon intensity 113.875 g/kWh, embodied 1e+308 kg over 1.0 h\n" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["power", "MODEL", "-u", "1"],
-        ["emissions", "--intensity", "1e308", "--power-kw", "2530", "--hours", "24"],
-    ],
-    ids=["power", "emissions"],
-)
-def test_json_rejects_a_non_finite_result_as_the_table_does(capsys, tmp_path, argv):
-    doc = _model_doc()
-    doc["components"][0].update(idle_kw_per_unit=1e308, loaded_kw_per_unit=1e308)
-    model = _write_json(tmp_path / "model.json", doc)
-    argv = [model if arg == "MODEL" else arg for arg in argv]
-    code, out, err = _run(capsys, *argv, "--format", "json")
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_json_rejects_a_non_finite_result_as_the_table_does(capsys, tmp_path, fmt):
+    # the fleet power ratio is the energy ratio times the perf ratio: 1e400
+    table = tmp_path / "table.csv"
+    table.write_text(
+        "app_name,nodes,intervention,perf_ratio,energy_ratio\n"
+        "app,1,freq_cap_2000,1e200,1e200\n"
+    )
+    code, out, err = _run(capsys, "policy", str(table), "--format", fmt)
     _assert_one_error_line(code, out, err)
     assert err == "error: a result is not finite (inf)\n"
 
@@ -745,6 +743,25 @@ def test_emissions_header_only_profile_exits_2(capsys, tmp_path):
     )
     _assert_rejected(code, out, err, 2)
     assert err == f"error: {profile}: no intensity rows found\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_a_component_name_that_is_not_unicode_text_exits_2(capsys, tmp_path, fmt):
+    # the table printed it to UTF-8 output, which cannot encode a lone surrogate
+    doc = _model_doc()
+    doc["components"][1]["name"] = "sw\ud800"
+    model = _write_json(tmp_path / "model.json", doc)
+    code, out, err = _run(capsys, "power", model, "-u", "0.5", "--format", fmt)
+    _assert_rejected(code, out, err, 2)
+    assert err == f"error: {model}: component #2: 'name' holds a lone surrogate\n"
+
+
+def test_a_scenario_series_path_with_a_nul_exits_2(capsys, tmp_path):
+    doc = _scenario_doc(carbon={"series_csv": "a\u0000b"})
+    scenario = _write_json(tmp_path / "scenario.json", doc)
+    code, out, err = _run(capsys, "simulate", scenario)
+    _assert_rejected(code, out, err, 2)
+    assert err == f"error: {scenario}: 'carbon': 'series_csv' holds a NUL character\n"
 
 
 def test_unknown_builtin_name_exits_2(capsys):

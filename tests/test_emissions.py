@@ -15,6 +15,7 @@ from wattplan.emissions import (
     amortized_scope3,
     classify_scenario,
     lifetime_emissions,
+    priced_emissions,
     recommended_objective,
     run_intensity,
     scope2_emissions,
@@ -525,6 +526,27 @@ def test_lifetime_emissions_rejects_non_finite(bad):
         lifetime_emissions(bad, 1.0, profile, embodied)
     with pytest.raises(DomainError, match="duration"):
         lifetime_emissions(100.0, bad, profile, embodied)
+
+
+def test_priced_emissions_past_the_float_range_names_its_inputs():
+    with pytest.raises(
+        DomainError,
+        match=r"^energy or emissions exceed the float range: "
+        r"24 h at a mean 2530 kW, carbon intensity 1e\+308 g/kWh$",
+    ):
+        priced_emissions(2530, 24, 1e308, None)
+    # a scope-3 share past the float range, on a scope-2 in range
+    with pytest.raises(DomainError, match=r", embodied 1e\+308 kg over 1\.0 h$"):
+        priced_emissions(2530, 24, 50.0, EmbodiedEmissions(1e308, 1.0))
+
+
+def test_lifetime_emissions_past_the_float_range_names_its_inputs():
+    with pytest.raises(
+        DomainError,
+        match=r"^energy or emissions exceed the float range: "
+        r"24\.0 h at a mean 2530\.0 kW, carbon intensity 1e\+308 g/kWh$",
+    ):
+        lifetime_emissions(2530.0, 24.0, CarbonIntensityProfile.constant(1e308), None)
 
 
 @pytest.mark.parametrize("kind", sorted(_PROFILE_KINDS))

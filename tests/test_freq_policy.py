@@ -144,6 +144,17 @@ def test_fleet_bios_only_app_raises(table3):
         fleet_ratios(table3, {"VASP TiO2": 1.0}, PolicyRule(0.10))
 
 
+def test_equal_mix_counts_each_distinct_app_once(table3, table4):
+    assert JobMix.equal(["a", "a"]).weights == {"a": 1.0}
+    assert JobMix.equal(["b", "a", "b"]).weights == {"b": 0.5, "a": 0.5}
+    # the README's idiom, over a table that holds both the BIOS and the freq-cap rows
+    table = table3 + table4
+    apps = {b.app_name for b in table}
+    assert len(table) > len(apps)
+    mix = JobMix.equal([b.app_name for b in table])
+    assert mix.weights == dict.fromkeys([b.app_name for b in table], 1.0 / len(apps))
+
+
 def test_fleet_power_ratio_bounds_property():
     rng = random.Random(43)
     for _ in range(200):

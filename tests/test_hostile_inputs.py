@@ -59,7 +59,8 @@ INPUTS = {
     ),
 }
 
-HOSTILE = [NAN, INF, -INF, 1e308, -1, 0, True, "x", None, [], {}, 2.7, 10**30]
+HOSTILE = [NAN, INF, -INF, 1e308, -1, 0, True, "x", None, [], {}, 2.7, 10**30,
+           "\ud800", "a\u0000b"]
 # keys an added field gets: one no loader knows, and the optional ones
 ADDED_KEYS = ["extra", "name", "bios_factor", "embodied", "series_csv"]
 
@@ -150,6 +151,10 @@ def _assert_clean_exit(code, out, err):
 @example(mutation=("model", "set", ("components", 0, "idle_kw_per_unit"), NAN))
 @example(mutation=("weights", "set", (_APPS[0],), NAN))
 @example(mutation=("recipe", "set", ("segments", 0, "n_samples"), 10**30))
+# strings that are not Unicode text, or that no file name can hold
+@example(mutation=("scenario", "set", ("name",), "\ud800"))
+@example(mutation=("scenario", "set", ("model",), "a\u0000b"))
+@example(mutation=("model", "set", ("components", 1, "name"), "\ud800"))
 def test_hostile_json_inputs_exit_cleanly(mutation):
     [(code, out, err)] = _run_mutated(mutation, ["--format", "json"])
     _assert_clean_exit(code, out, err)

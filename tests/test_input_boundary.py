@@ -89,6 +89,27 @@ def test_integer_and_string():
         string(doc, "n", "w")
 
 
+@pytest.mark.parametrize(
+    "value,fault", [("sw\ud800", "a lone surrogate"), ("a\u0000b", "a NUL character")]
+)
+def test_string_rejects_what_a_file_name_or_utf8_output_cannot_hold(value, fault):
+    with pytest.raises(DataFormatError, match=f"^w: 's' holds {fault}$"):
+        string({"s": value}, "s", "w")
+
+
+@pytest.mark.parametrize("field", ["model", "benchmarks", "name"])
+@pytest.mark.parametrize("value", ["a\u0000b", "\ud800"])
+def test_scenario_strings_must_be_utf8_text_without_nul(tmp_path, field, value):
+    doc = json.loads(data_path("baseline_scenario.json").read_text())
+    doc.update(model=str(data_path("archer2_system.json")),
+               benchmarks=str(data_path("table4_freq.csv")))
+    doc[field] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match=f"'{field}' holds "):
+        load_scenario_config(path)
+
+
 def test_job_mix_from_dict():
     assert JobMix.from_dict({"a": 1}, "w").weights == {"a": 1.0}
     with pytest.raises(DataFormatError, match="^w: expected an object, got string$"):

@@ -111,6 +111,19 @@ def test_system_power_empty_model_total_zero():
     assert system_power(empty, 0.5).total_kw == 0.0
 
 
+def test_system_power_past_the_float_range_names_the_model_and_utilization():
+    # each unit's draw is finite; the count times it is not
+    model = SystemModel("huge", (ComponentSpec("nodes", 2, 1e308, 1e308),))
+    with pytest.raises(
+        DomainError, match=r"^model 'huge': total power exceeds the float range at utilization 0\.5$"
+    ):
+        system_power(model, 0.5)
+    # so does a total of finite component draws
+    model = SystemModel("huge", tuple(ComponentSpec(n, 1, 1e308, 1e308) for n in "ab"))
+    with pytest.raises(DomainError, match="^model 'huge': total power exceeds"):
+        system_power(model, 0.5)
+
+
 def test_system_model_rejects_duplicate_names():
     with pytest.raises(DomainError):
         SystemModel(

@@ -321,6 +321,14 @@ def test_run_scenario_rejects_mix_without_benchmark():
         run_scenario(_tiny_config(mix=JobMix({"fast": 0.5, "mystery": 0.5})))
 
 
+def test_run_scenario_past_the_float_range_raises_where_the_product_is_made():
+    with pytest.raises(DomainError, match="^energy or emissions exceed the float range: "):
+        run_scenario(_tiny_config(carbon=CarbonIntensityProfile.constant(1e308)))
+    model = SystemModel("huge", (ComponentSpec("nodes", 2, 1e308, 1e308),), "nodes")
+    with pytest.raises(DomainError, match="^model 'huge': total power exceeds the float range"):
+        run_scenario(_tiny_config(model=model))
+
+
 def test_load_config_rejects_unknown_field(tmp_path):
     doc = json.loads(data_path("baseline_scenario.json").read_text())
     doc["model"] = str(data_path("archer2_system.json"))
