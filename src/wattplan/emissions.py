@@ -190,13 +190,28 @@ class CarbonIntensityProfile:
         if last > first:
             weighted = reduce(operator.add, self._step_terms[first + 1 : last], weighted)
             weighted += self._held(last, start, end)
-        return weighted / (end - start).total_seconds()
+        if math.isfinite(weighted):
+            return weighted / (end - start).total_seconds()
+        return self._mean_of_shares(first, max(first, last), start, end)
 
     def _held(self, i: int, start: datetime, end: datetime) -> float:
         """Step i's value times the seconds it holds inside [start, end)."""
         t_i, value = self.series[i]
         hi = end if i + 1 == len(self.series) else min(end, self.series[i + 1][0])
         return value * (hi - max(start, t_i)).total_seconds()
+
+    def _mean_of_shares(self, first: int, last: int, start: datetime, end: datetime) -> float:
+        """mean_intensity for a weighted sum past the float range: each step's
+        value times the share of [start, end) it holds, summed over steps
+        first to last. It repeats _held's overlap rather than give _held a
+        divisor, which every call in range would pay."""
+        seconds = (end - start).total_seconds()
+        mean = 0.0
+        for i in range(first, last + 1):
+            t_i, value = self.series[i]
+            hi = end if i + 1 == len(self.series) else min(end, self.series[i + 1][0])
+            mean += value * ((hi - max(start, t_i)).total_seconds() / seconds)
+        return mean
 
     @cached_property
     def _times(self) -> tuple[datetime, ...]:
@@ -263,7 +278,11 @@ def amortized_scope3(embodied: EmbodiedEmissions, duration_hours: float) -> floa
     """Linear share of the embodied emissions attributable to a duration."""
     if not (math.isfinite(duration_hours) and duration_hours >= 0):
         raise DomainError(f"duration must be >= 0 hours, got {duration_hours}")
-    return embodied.total_kgco2e * duration_hours / embodied.service_lifetime_hours
+    share = embodied.total_kgco2e * duration_hours / embodied.service_lifetime_hours
+    if math.isinf(share):
+        # the product passed the float range before the division
+        share = embodied.total_kgco2e * (duration_hours / embodied.service_lifetime_hours)
+    return share
 
 
 _EPOCH = datetime(2000, 1, 1, tzinfo=timezone.utc)
@@ -319,7 +338,11 @@ def priced_emissions(
             f"energy exceeds the float range: a mean {mean_power_kw} kW for {duration_hours} h"
         )
     scope3 = 0.0 if embodied is None else amortized_scope3(embodied, duration_hours)
-    breakdown = EmissionsBreakdown.of_parts(energy_kwh * intensity / 1000.0, scope3)
+    scope2 = energy_kwh * intensity / 1000.0
+    if math.isinf(scope2):
+        # the product passed the float range before the division
+        scope2 = energy_kwh * (intensity / 1000.0)
+    breakdown = EmissionsBreakdown.of_parts(scope2, scope3)
     if math.isfinite(breakdown.total_kg):
         return breakdown
     message = (

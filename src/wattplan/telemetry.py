@@ -28,7 +28,9 @@ _MIN_US = (datetime.min.replace(tzinfo=timezone.utc) - _EPOCH) // _ONE_US
 _MAX_US = (datetime.max.replace(tzinfo=timezone.utc) - _EPOCH) // _ONE_US
 # the longest span a datetime can hold, and so the longest synthetic segment
 _MAX_SEGMENT_HOURS = (datetime.max - datetime.min) / timedelta(hours=1)
-_CHUNK = 1 << 12  # rows per batch of timestamps and write_series, which bounds the temporaries
+# rows per batch of timestamps and per byte matrix of write_series, which
+# bounds the temporaries
+_CHUNK = 1 << 12
 _BATCH = 1 << 14  # rows per batch of the canonical parse
 
 
@@ -214,9 +216,9 @@ _STAMP_SEPARATOR_AT = [4, 7, 10, 13, 16, 19, 20]
 _STAMP_DIGIT_AT = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
 _NUMBER_BYTE = np.zeros(256, dtype=bool)
 _NUMBER_BYTE[np.frombuffer(b"0123456789.+-eE", dtype=np.uint8)] = True
-# a whole-second write_series row is at most 21 + 24 bytes (the longest float
-# repr); a longer row goes to the per-row parser, as its cast below would take
-# about 132 bytes per byte of the row
+# a whole-second write_series row is at most 21 + 24 bytes (_STAMP_BYTES and
+# _REPR_BYTES, the longest float repr); a longer row goes to the per-row
+# parser, as its cast below would take about 132 bytes per byte of the row
 _MAX_ROW_BYTES = 64
 _EXACT_DIGITS = 15  # integers below 10**15, and 10**k for k <= 22, are exact doubles
 _POWERS_OF_TEN = 10.0 ** np.arange(_EXACT_DIGITS + 1)
@@ -403,60 +405,187 @@ def write_series(series: PowerSeries, path: str | Path) -> None:
     """Write a power series in the same CSV format parse_series reads.
 
     Times are ISO-8601 UTC with a trailing Z, with microseconds only where
-    they are non-zero; powers are Python float reprs.
+    they are non-zero; powers are Python float reprs. The file holds the
+    bytes of a per-row `f"{time},{power!r}"` writer.
 
-    Each chunk of rows is written column-wise: its stamps become one format
-    text of lines `YYYY-MM-DDTHH:MM:SSZ,%r` (see _row_formats), and one `%`
-    with the chunk's powers fills in their reprs, the same bytes as a
-    per-row f-string.
+    Each chunk of rows is built as one byte matrix (see _lines). A power in
+    [1e-4, 1e16), whose repr has no exponent, is formatted in numpy (see
+    _shortest); any other power, such as 0.0, 1e-5 or 1e16, takes its own
+    repr.
     """
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("timestamp,power_kw\n")
         for lo in range(0, len(series), _CHUNK):
-            rows = _row_formats(series.times_us[lo : lo + _CHUNK])
-            handle.write(rows % tuple(series.power_kw[lo : lo + _CHUNK].tolist()))
+            chunk = slice(lo, lo + _CHUNK)
+            handle.write(_lines(series.times_us[chunk], series.power_kw[chunk]))
 
 
 _US_PER_DAY = 86_400_000_000
-_ROW_END = np.frombuffer(b"%r\n", dtype=np.uint8)
 _FRACTION_AT = _STAMP_SEPARATOR_AT[5]  # a fraction of a second goes before the Z
 _FRACTION_PLACES = 10 ** np.arange(5, -1, -1, dtype=np.int64)[:, None]
+_REPR_BYTES = 24  # the longest float repr, such as -2.2250738585072014e-308
+_REPR_AT = np.arange(_REPR_BYTES)[:, None]
 
 
-def _row_formats(times_us: np.ndarray) -> str:
-    """One `YYYY-MM-DDTHH:MM:SS[.ffffff]Z,%r` line per epoch-microsecond time,
-    with the fraction only where it is non-zero.
+def _lines(times_us: np.ndarray, power_kw: np.ndarray) -> str:
+    """One `YYYY-MM-DDTHH:MM:SS[.ffffff]Z,<repr>` line per epoch-microsecond
+    time and power, with the fraction only where it is non-zero.
 
     The text is built as a uint8 matrix whose row j is byte j of every line,
-    the layout the canonical parse reads. The fields are int64 arithmetic
-    until they are stored, as numpy 1.x keeps uint8 arithmetic in uint8.
+    the layout the canonical parse reads, with room for the fraction (if any
+    line has one) and the longest repr; each line's unused bytes are then
+    dropped. The fields are int64 arithmetic until they are stored, as numpy
+    1.x keeps uint8 arithmetic in uint8.
     """
     n = len(times_us)
     days = times_us // _US_PER_DAY
     micros = times_us - days * _US_PER_DAY
-    cols = np.empty((_STAMP_BYTES + len(_ROW_END), n), dtype=np.uint8)
+    fraction = micros % 1_000_000
+    fractional = bool(fraction.any())
+    number_at = _STAMP_BYTES + 7 * fractional
+    cols = np.empty((number_at + _REPR_BYTES + 1, n), dtype=np.uint8)
     # the date text once per run of rows on the same day, as the parse checks it
     first = np.flatnonzero(np.concatenate(([True], days[1:] != days[:-1])))
     dates = np.datetime_as_string(days[first].astype("datetime64[D]")).astype("S10")
     dates = dates.view(np.uint8).reshape(-1, 10)
     cols[:10] = np.repeat(dates, np.diff(first, append=n), axis=0).T
-    cols[_STAMP_SEPARATOR_AT] = _STAMP_SEPARATORS[:, None]
-    cols[_STAMP_BYTES:] = _ROW_END[:, None]
+    cols[_STAMP_SEPARATOR_AT[:5]] = _STAMP_SEPARATORS[:5, None]
     seconds = micros // 1_000_000
     hms = np.stack((seconds // 3600, seconds // 60 % 60, seconds % 60))
     cols[_STAMP_DIGIT_AT[8::2]] = hms // 10 + ord("0")
     cols[_STAMP_DIGIT_AT[9::2]] = hms % 10 + ord("0")
-    lines = cols.T
-    fraction = micros % 1_000_000
-    if fraction.any():
+    if fractional:
+        cols[_FRACTION_AT] = ord(".")
+        cols[_FRACTION_AT + 1 : _FRACTION_AT + 7] = fraction // _FRACTION_PLACES % 10 + ord("0")
+    cols[number_at - 2 : number_at] = _STAMP_SEPARATORS[5:, None]
+    cols[number_at:-1], length = _reprs(power_kw)
+    end = number_at + length
+    cols[end, np.arange(n)] = ord("\n")
+    keep = np.arange(len(cols))[:, None] <= end
+    if fractional:
         # ".ffffff" goes into every line, then out of those on a whole second
-        digits = fraction // _FRACTION_PLACES % 10 + ord("0")
-        dot = np.full((1, n), ord("."), dtype=np.int64)
-        lines = np.insert(cols, [_FRACTION_AT] * 7, np.concatenate((dot, digits)), axis=0).T
-        keep = np.ones(lines.shape, dtype=bool)
-        keep[fraction == 0, _FRACTION_AT : _FRACTION_AT + 7] = False
-        lines = lines[keep]
-    return lines.tobytes().decode()
+        keep[_FRACTION_AT : _FRACTION_AT + 7, fraction == 0] = False
+    return cols.T[keep.T].tobytes().decode()
+
+
+def _reprs(power_kw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The repr of each power: a (24, n) uint8 matrix whose column j starts
+    with the text of power_kw[j], and the text lengths."""
+    positional = (power_kw >= 1e-4) & (power_kw < 1e16)
+    if positional.all():
+        return _positional_reprs(power_kw)
+    other = np.flatnonzero(~positional)
+    text = np.zeros((_REPR_BYTES, len(power_kw)), dtype=np.uint8)
+    own = np.array([repr(v) for v in power_kw[other].tolist()], dtype=f"S{_REPR_BYTES}")
+    text[:, other] = own.view(np.uint8).reshape(-1, _REPR_BYTES).T
+    length = (text != 0).sum(axis=0)
+    if positional.any():
+        text[:, positional], length[positional] = _positional_reprs(power_kw[positional])
+    return text, length
+
+
+_DIGITS = 17  # the most a shortest repr has
+_U64 = np.uint64
+_TEN_POWERS = _U64(10) ** np.arange(_DIGITS + 1, dtype=np.uint64)
+
+
+def _positional_reprs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_reprs for doubles in [1e-4, 1e16), whose reprs have no exponent."""
+    digits, exponent = _shortest(x)
+    n_digits = np.searchsorted(_TEN_POWERS, digits, side="right")
+    point = n_digits + exponent  # x is 0.ddd * 10**point, with -3 <= point <= 16
+    # the digits, padded to 17 with trailing zeros, after five '0's and before seven
+    padded = np.full((5 + _DIGITS + 7, len(x)), ord("0"), dtype=np.uint8)
+    rest = digits * _TEN_POWERS[_DIGITS - n_digits]
+    for row in range(4 + _DIGITS, 4, -1):
+        tens = rest // _U64(10)
+        padded[row] = rest - tens * _U64(10) + _U64(ord("0"))
+        rest = tens
+    significant = _DIGITS - np.argmax(padded[4 + _DIGITS : 4 : -1] != ord("0"), axis=0)
+    dot = np.maximum(point, 1)
+    # byte i of the repr is padded[5 + i - shift], where shift counts the
+    # '0's put before the digits ("0.000" puts four) and, past the dot, one more
+    shift = (_REPR_AT > dot) + np.maximum(1 - point, 0).astype(np.uint8)
+    text = padded[5 : 5 + _REPR_BYTES].copy()
+    for s in range(1, int(shift.max()) + 1):
+        np.copyto(text, padded[5 - s : 5 - s + _REPR_BYTES], where=shift == s)
+    text[dot, np.arange(len(x))] = ord(".")
+    return text, dot + 1 + np.maximum(significant - point, 1)
+
+
+# Schubfach (Giulietti, "The Schubfach way to render doubles", 2020), as in
+# the JDK's DoubleToDecimal, in numpy uint64. Every operand stays uint64, as
+# numpy 1.x casts uint64 mixed with int64 to float64.
+_LOW32 = _U64(0xFFFF_FFFF)
+_LOW63 = _U64((1 << 63) - 1)
+
+
+def _floor_log10_pow2(e):
+    return (e * 661_971_961_083) >> 41
+
+
+def _floor_log2_pow10(e):
+    return (e * 913_124_641_741) >> 38
+
+
+# a double in [1e-4, 1e16) is c * 2**q with 2**52 <= c < 2**53 and -66 <= q <= 1,
+# so its decimal exponent k runs from -20 to 0; g(k) is 10**-k * 2**(125 -
+# floor(log2(10**-k))) + 1, which is 126 bits, as g1 * 2**63 + g0
+_K_MIN = _floor_log10_pow2(-66)
+_G = [(10**-k << (125 - _floor_log2_pow10(-k))) + 1 for k in range(_K_MIN, 1)]
+_G1 = np.array([g >> 63 for g in _G], dtype=np.uint64)
+_G0 = np.array([g & ((1 << 63) - 1) for g in _G], dtype=np.uint64)
+
+
+def _mul_high(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of each 128-bit product a * b, from 32-bit halves."""
+    a_lo, a_hi = a & _LOW32, a >> _U64(32)
+    b_lo, b_hi = b & _LOW32, b >> _U64(32)
+    cross_1, cross_2 = a_lo * b_hi, a_hi * b_lo
+    mid = ((a_lo * b_lo) >> _U64(32)) + (cross_1 & _LOW32) + (cross_2 & _LOW32)
+    return a_hi * b_hi + (cross_1 >> _U64(32)) + (cross_2 >> _U64(32)) + (mid >> _U64(32))
+
+
+def _round_to_odd(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
+    """cp * g / 2**127 rounded to odd, where g = g1 * 2**63 + g0."""
+    z = ((g1 * cp) >> _U64(1)) + _mul_high(g0, cp)
+    return (_mul_high(g1, cp) + (z >> _U64(63))) | (((z & _LOW63) + _LOW63) >> _U64(63))
+
+
+def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For doubles x in [1e-4, 1e16), uint64 digits and int64 exponents of
+    the decimals digits * 10**exponent that repr writes: of those that read
+    back as x, the ones with the fewest digits, and of them the closest."""
+    bits = x.view(np.uint64)
+    c = (bits & _U64((1 << 52) - 1)) | _U64(1 << 52)
+    q = (bits >> _U64(52)).astype(np.int64) - 1075  # x = c * 2**q
+    odd = c & _U64(1)
+    # 4x and the ends of the interval that rounds to x, in units of 2**q / 4.
+    # A power of two is nearer its neighbour below, a case of its own in
+    # Schubfach, but each of the 67 in [1e-4, 1e16) comes out right without it.
+    cb = c << _U64(2)
+    cbl, cbr = cb - _U64(2), cb + _U64(2)
+    k = _floor_log10_pow2(q)
+    h = (q + _floor_log2_pow10(-k) + 2).astype(np.uint64)
+    g1, g0 = _G1[k - _K_MIN], _G0[k - _K_MIN]
+    # those times 10**-k, rounded to odd: s = floor(x / 10**k) has 16 or 17 digits
+    vb = _round_to_odd(g1, g0, cb << h)
+    vbl = _round_to_odd(g1, g0, cbl << h) + odd
+    vbr = _round_to_odd(g1, g0, cbr << h) - odd
+    s = vb >> _U64(2)
+    t = s + _U64(1)
+    # s or t, whichever is inside the interval, or the closer of the two
+    # (the even one on a tie)
+    s_in, t_in = vbl <= s << _U64(2), t << _U64(2) <= vbr
+    mid = (s + t) << _U64(1)
+    nearer_s = (vb < mid) | ((vb == mid) & ((s & _U64(1)) == _U64(0)))
+    digits = np.where(np.where(s_in != t_in, s_in, nearer_s), s, t)
+    # but a multiple of 10 first, if just one of those next to s is inside
+    s10 = s // _U64(10) * _U64(10)
+    t10 = s10 + _U64(10)
+    s10_in, t10_in = vbl <= s10 << _U64(2), t10 << _U64(2) <= vbr
+    digits = np.where(s10_in != t10_in, np.where(s10_in, s10, t10), digits)
+    return digits, k
 
 
 def window_mean(series: PowerSeries, start: datetime, end: datetime) -> WindowStats:

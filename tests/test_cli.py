@@ -721,18 +721,41 @@ def test_emissions_energy_overflow_names_the_power_and_hours(capsys):
     assert err == "error: energy exceeds the float range: a mean 1e+305 kW for 10000.0 h\n"
 
 
-def test_emissions_mean_intensity_overflow_is_named(capsys, tmp_path):
-    # every step is in range; their weighted sum over the run is not
+@pytest.mark.parametrize(
+    "rows,hours,mean",
+    [
+        (["00:00:00Z,1e308", "01:00:00Z,1e308", "02:00:00Z,1"], "3", 1e308 / 3 + 1e308 / 3),
+        (["00:00:00Z,100", "00:30:00Z,1e308", "01:00:00Z,1e308"], "1", 5e307),
+    ],
+    ids=["three hours", "two half hours"],
+)
+def test_emissions_mean_intensity_past_a_float_range_sum_is_in_range(
+    capsys, tmp_path, rows, hours, mean
+):
+    # every step is in range and so is their mean; their weighted sum over the run is not
     profile = tmp_path / "profile.csv"
     profile.write_text(
-        "timestamp,intensity_g_per_kwh\n2022-06-01T00:00:00Z,1e308\n"
-        "2022-06-01T01:00:00Z,1e308\n2022-06-01T02:00:00Z,1\n"
+        "timestamp,intensity_g_per_kwh\n" + "".join(f"2022-06-01T{row}\n" for row in rows)
     )
     code, out, err = _run(
-        capsys, "emissions", "--profile", str(profile), "--power-kw", "1", "--hours", "3"
+        capsys, "emissions", "--profile", str(profile), "--power-kw", "10", "--hours", hours,
+        "--format", "json",
     )
-    _assert_one_error_line(code, out, err)
-    assert err == "error: the run's mean carbon intensity exceeds the float range, got inf g/kWh\n"
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["mean_intensity_g_per_kwh"] == mean
+    assert doc["scope2_kg"] == doc["energy_kwh"] * (mean / 1000.0)
+
+
+def test_emissions_scope2_past_a_float_range_product_is_in_range(capsys):
+    # 1e305 kWh times 1e4 g/kWh passes the float range; 1e306 kg does not
+    code, out, err = _run(
+        capsys, "emissions", "--intensity", "1e4", "--power-kw", "1e300", "--hours", "1e5",
+        "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["scope2_kg"] == doc["energy_kwh"] * (1e4 / 1000.0) == pytest.approx(1e306)
 
 
 def test_emissions_header_only_profile_exits_2(capsys, tmp_path):

@@ -540,6 +540,31 @@ def test_priced_emissions_past_the_float_range_names_its_inputs():
         priced_emissions(2530, 24, 50.0, EmbodiedEmissions(1e308, 1.0))
 
 
+def test_amortized_scope3_past_a_float_range_product_is_in_range():
+    embodied = EmbodiedEmissions(1e308, 1e10)
+    share = amortized_scope3(embodied, 24.0)
+    assert share == 1e308 * (24.0 / 1e10) == pytest.approx(2.4e299)
+    assert priced_emissions(1.0, 24.0, 50.0, embodied).scope3_kg == share
+
+
+def test_priced_scope2_past_a_float_range_product_is_in_range():
+    energy_kwh = 1e300 * 1e5
+    breakdown = priced_emissions(1e300, 1e5, 1e4, None)
+    assert breakdown.scope2_kg == energy_kwh * (1e4 / 1000.0) == pytest.approx(1e306)
+    assert breakdown.total_kg == breakdown.scope2_kg
+
+
+def test_mean_intensity_past_a_float_range_sum_is_in_range():
+    half = timedelta(minutes=30)
+    profile = CarbonIntensityProfile.from_series(
+        [(T0, 100.0), (T0 + half, 1e308), (T0 + 2 * half, 1e308)]
+    )
+    assert profile.mean_intensity(T0, T0 + 2 * half) == 5e307
+    # one step alone, and a window inside the last step
+    assert profile.mean_intensity(T0 + half, T0 + 2 * half) == 1e308
+    assert profile.mean_intensity(T0 + 3 * half, T0 + 5 * half) == 1e308
+
+
 def test_lifetime_emissions_past_the_float_range_names_its_inputs():
     with pytest.raises(
         DomainError,

@@ -4,8 +4,8 @@ Each JSON input of the CLI gets a document with one field changed, dropped or
 added, and each CSV input a table with one cell replaced, dropped or added.
 The command must either exit 0 with strict output on stdout, or exit 1 or 2
 with nothing on stdout and one `error:` line on stderr: no traceback, no
-warning and no NaN or Infinity. A scenario's threshold sweep and each CSV
-command must also end the same way in table format as in JSON.
+warning and no NaN or Infinity. Each JSON input, a scenario's threshold sweep
+and each CSV command must also end the same way in table format as in JSON.
 """
 
 import copy
@@ -156,10 +156,15 @@ def _assert_clean_exit(code, out, err):
 @example(mutation=("scenario", "set", ("model",), "a\u0000b"))
 @example(mutation=("model", "set", ("components", 1, "name"), "\ud800"))
 def test_hostile_json_inputs_exit_cleanly(mutation):
-    [(code, out, err)] = _run_mutated(mutation, ["--format", "json"])
-    _assert_clean_exit(code, out, err)
+    # in table format too, as JSON escapes a string (a lone surrogate) that a
+    # table cannot print
+    table, as_json = _run_mutated(mutation, [], ["--format", "json"])
+    for code, out, err in (table, as_json):
+        _assert_clean_exit(code, out, err)
+    code, out, err = as_json
     if code == 0:
         json.loads(out, parse_constant=_reject_constant)
+    assert table[0] == code
 
 
 @settings(max_examples=100, deadline=None)

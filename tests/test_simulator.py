@@ -322,8 +322,11 @@ def test_run_scenario_rejects_mix_without_benchmark():
 
 
 def test_run_scenario_past_the_float_range_raises_where_the_product_is_made():
+    # some 5e5 kWh at 1e308 g/kWh: scope-2 is past the float range in either order
     with pytest.raises(DomainError, match="^energy or emissions exceed the float range: "):
-        run_scenario(_tiny_config(carbon=CarbonIntensityProfile.constant(1e308)))
+        run_scenario(
+            _tiny_config(duration_hours=1e4, carbon=CarbonIntensityProfile.constant(1e308))
+        )
     model = SystemModel("huge", (ComponentSpec("nodes", 2, 1e308, 1e308),), "nodes")
     with pytest.raises(DomainError, match="^model 'huge': total power exceeds the float range"):
         run_scenario(_tiny_config(model=model))

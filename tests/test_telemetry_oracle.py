@@ -24,9 +24,11 @@ from wattplan.telemetry import _CHUNK as _WRITE_CHUNK
 from wattplan.telemetry import (
     _BATCH,
     _MAX_ROW_BYTES,
+    _REPR_BYTES,
     PowerSeries,
     SeriesSegment,
     _parse_canonical,
+    _reprs,
     detect_changepoint,
     parse_series,
     synth_series,
@@ -148,7 +150,8 @@ def _parse_canonical_rows(body, starts, ends):
 
 
 def reference_write(series, path):
-    """write_series as it was before the chunked writer."""
+    """write_series as a per-row writer, a format_timestamp and a repr per row:
+    the oracle for the byte matrix that write_series builds."""
     lines = ["timestamp,power_kw"]
     rows = zip(series.timestamps, series.values_kw)
     lines.extend(f"{format_timestamp(t)},{v!r}" for t, v in rows)
@@ -615,10 +618,16 @@ micro_stamps = st.datetimes(
 )
 whole_stamps = micro_stamps.map(lambda t: t.replace(microsecond=0))
 # values whose reprs take each form: zero of either sign, a trailing .0, an
-# exponent, subnormals, the longest repr, the largest finite double
+# exponent, subnormals, the longest repr, the largest finite double; either
+# side of [1e-4, 1e16), the reprs without an exponent, which numpy formats;
+# powers of two, whose intervals are lopsided; reprs of 1, 15, 16 and 17
+# digits; and two halfway between 17-digit decimals, which go to the even one
 EDGE_POWERS = [
     0.0, -0.0, 3.0, 0.1, 3220.0, 1e16, 1e-5, 1e300, 5e-324, 1.5e-323,
     2.2250738585072014e-308, 1.7976931348623157e308, 123456789012345.67,
+    1e-4, 9.999999999999999e-05, 9999999999999998.0, 2048.0, 0.5, 0.3,
+    3220.12345678901, 3220.123456789012, 0.30000000000000004,
+    100000000000000.125, 100000000000000.375,
 ]
 powers = st.one_of(
     st.floats(min_value=0.0, max_value=1e300),
@@ -706,6 +715,31 @@ def test_whole_mixed_and_fractional_chunks_match_the_reference(tmp_path):
     times[2 * _WRITE_CHUNK :] += 999_999
     power = np.random.default_rng(12).uniform(0.0, 1e4, len(times))
     assert_writes_as_the_reference(tmp_path, PowerSeries.from_arrays(times, power))
+
+
+def _repr_lines(values):
+    """The text _reprs gives for each value, each followed by a newline."""
+    text, length = _reprs(values)
+    lines = np.vstack((text, np.zeros((1, len(values)), dtype=np.uint8)))
+    lines[length, np.arange(len(values))] = ord("\n")
+    return lines.T[np.arange(_REPR_BYTES + 1) <= length[:, None]].tobytes().decode()
+
+
+def test_reprs_match_repr_on_a_million_values():
+    rng = np.random.default_rng(20)
+    window = np.array([1e-4, 1e16]).view(np.uint64)
+    values = np.concatenate([
+        # any bit pattern of a double in [1e-4, 1e16)
+        rng.integers(window[0], window[1], 500_000, dtype=np.uint64).view(np.float64),
+        # noisy kW, from a node to a cabinet, clamped at 0 as synth_series does
+        *(np.maximum(rng.normal(mean, mean / 20, 100_000), 0.0) for mean in (0.4, 25, 3220)),
+        rng.integers(0, 10**7, 200_000).astype(np.float64),
+        # every power of two in the window, whose interval is narrower below
+        2.0 ** np.arange(-13, 54),
+    ])
+    for lo in range(0, len(values), _WRITE_CHUNK):
+        chunk = values[lo : lo + _WRITE_CHUNK].tolist()
+        assert _repr_lines(values[lo : lo + _WRITE_CHUNK]).splitlines() == list(map(repr, chunk))
 
 
 # -- integer-microsecond synthesis --------------------------------------------
