@@ -264,14 +264,30 @@ def scope2_emissions(
     """Operational emissions in kg for energy drawn over timestamped intervals.
 
     Each item is ((start, end), energy_kwh); the interval's intensity is the
-    time-weighted average of the profile over [start, end).
+    time-weighted average of the profile over [start, end). A total past the
+    float range raises a DomainError.
     """
+    if not isinstance(energy_kwh_by_interval, (list, tuple)):
+        energy_kwh_by_interval = list(energy_kwh_by_interval)  # read twice on overflow
     total_g = 0.0
     for (start, end), energy_kwh in energy_kwh_by_interval:
         if not (math.isfinite(energy_kwh) and energy_kwh >= 0):
             raise DomainError(f"interval energy must be >= 0 kWh, got {energy_kwh}")
         total_g += energy_kwh * profile.mean_intensity(start, end)
-    return total_g / 1000.0
+    if math.isfinite(total_g):
+        return total_g / 1000.0
+    # the gram sum passed the float range: sum again, dividing first
+    terms = [(e, profile.mean_intensity(start, end)) for (start, end), e in energy_kwh_by_interval]
+    total_kg = 0.0
+    for energy_kwh, intensity in terms:
+        total_kg += energy_kwh * (intensity / 1000.0)
+    if math.isfinite(total_kg):
+        return total_kg
+    energy, intensity = map(max, zip(*terms))
+    raise DomainError(
+        f"scope-2 emissions exceed the float range: {len(terms)} intervals of up to "
+        f"{energy} kWh at up to {intensity} g/kWh"
+    )
 
 
 def amortized_scope3(embodied: EmbodiedEmissions, duration_hours: float) -> float:

@@ -135,6 +135,13 @@ class FleetRatios:
     decisions: tuple[PolicyDecision, ...]
 
 
+def _not_freq_cap(benchmark: AppBenchmark) -> DomainError:
+    return DomainError(
+        f"policy recommendations need {Intervention.FREQ_CAP_2000.value} benchmarks; "
+        f"{benchmark.app_name!r} records {benchmark.intervention.value}"
+    )
+
+
 def recommend(benchmark: AppBenchmark, rule: PolicyRule) -> PolicyDecision:
     """Default frequency for one application under the revert rule.
 
@@ -142,12 +149,43 @@ def recommend(benchmark: AppBenchmark, rule: PolicyRule) -> PolicyDecision:
     strict: a loss exactly at the threshold keeps the capped frequency.
     """
     if benchmark.intervention is not Intervention.FREQ_CAP_2000:
-        raise DomainError(
-            f"policy recommendations need {Intervention.FREQ_CAP_2000.value} benchmarks; "
-            f"{benchmark.app_name!r} records {benchmark.intervention.value}"
-        )
+        raise _not_freq_cap(benchmark)
     kept, reverted = benchmark._decisions
-    return reverted if 1.0 - benchmark.perf_ratio > rule.perf_loss_threshold else kept
+    return reverted if kept.perf_loss > rule.perf_loss_threshold else kept
+
+
+def _app_rows(benchmarks) -> dict[str, AppBenchmark]:
+    """Each app's freq-cap row, else its first row (which recommend() rejects),
+    in the order the apps first appear; a second freq-cap row for an app raises."""
+    rows: dict[str, AppBenchmark] = {}
+    for bench in benchmarks:
+        app = bench.app_name
+        if bench.intervention is not Intervention.FREQ_CAP_2000:
+            rows.setdefault(app, bench)
+        elif app in rows and rows[app].intervention is Intervention.FREQ_CAP_2000:
+            raise DomainError(f"duplicate benchmark for app {app!r}")
+        else:
+            rows[app] = bench
+    return rows
+
+
+class BenchmarkTable(tuple):
+    """A tuple of AppBenchmark rows that keeps, from first use, the row map
+    (whose build, with its duplicate check, runs again while it fails) and the
+    sorted freq-cap perf losses. A copy or pickle carries only the rows."""
+
+    @cached_property
+    def rows(self) -> dict[str, AppBenchmark]:
+        return _app_rows(self)
+
+    @cached_property
+    def freq_cap_losses(self) -> tuple[float, ...]:
+        return tuple(sorted(
+            1.0 - b.perf_ratio for b in self if b.intervention is Intervention.FREQ_CAP_2000
+        ))
+
+    def __reduce__(self):
+        return type(self), (tuple(self),)
 
 
 def fleet_ratios(
@@ -160,36 +198,41 @@ def fleet_ratios(
     the mean-power ratio energy_ratio * perf_ratio: mean power is energy over
     runtime, and runtime scales as 1/perf. The weights must make a valid
     JobMix over benchmarked apps.
+
+    Each call checks the benchmarks for duplicate rows, then the weights as a
+    JobMix, then each weighted app's row. A scenario calls `fleet_of_rows`,
+    with the row map its BenchmarkTable keeps and the mix checked at its build.
     """
-    # each app's freq-cap row, else its first row (which recommend() rejects),
-    # in the order the apps first appear
-    rows: dict[str, AppBenchmark] = {}
-    for bench in benchmarks:
-        app = bench.app_name
-        if bench.intervention is not Intervention.FREQ_CAP_2000:
-            rows.setdefault(app, bench)
-        elif app in rows and rows[app].intervention is Intervention.FREQ_CAP_2000:
-            raise DomainError(f"duplicate benchmark for app {app!r}")
-        else:
-            rows[app] = bench
+    rows = _app_rows(benchmarks)
     JobMix(weights)  # raises unless the weights are a valid mix
+    return fleet_of_rows(rows, weights, rule)
+
+
+def fleet_of_rows(
+    rows: dict[str, AppBenchmark], weights: dict[str, float], rule: PolicyRule
+) -> FleetRatios:
+    """fleet_ratios over a checked row map and weights taken as a valid mix;
+    it checks only that each weighted app has a freq-cap row."""
     for app in weights:
         if app not in rows:
             raise DomainError(f"unknown app in weights: {app!r}")
-
+    threshold = rule.perf_loss_threshold
     fleet_power = 0.0
     fleet_throughput = 0.0
     decisions: list[PolicyDecision] = []
     for app, source in rows.items():
         if app not in weights:
             continue
-        decision = recommend(source, rule)
-        decisions.append(decision)
+        if source.intervention is not Intervention.FREQ_CAP_2000:
+            raise _not_freq_cap(source)
+        kept, reverted = source._decisions
         weight = weights[app]
-        if decision.reverted:
+        if kept.perf_loss > threshold:
+            decisions.append(reverted)
             fleet_power += weight
             fleet_throughput += weight
         else:
+            decisions.append(kept)
             fleet_power += weight * (source.energy_ratio * source.perf_ratio)
             fleet_throughput += weight * source.perf_ratio
     return FleetRatios(

@@ -108,24 +108,36 @@ class PowerBreakdown:
     total_kw: float
 
 
-def component_power(spec: ComponentSpec, utilization: float) -> float:
-    """Power draw of one component class in kW at the given utilization.
-
-    LINEAR components draw count * (idle + u * (loaded - idle)); CONSTANT
-    components draw count * idle at every utilization.
-    """
+def _check_utilization(utilization: float) -> None:
     if not 0.0 <= utilization <= 1.0:
         raise DomainError(f"utilization must be within [0, 1], got {utilization}")
+
+
+def _draw(spec: ComponentSpec, utilization: float) -> float:
     if spec.load_response is LoadResponse.CONSTANT:
         return spec.count * spec.idle_kw_per_unit
     dynamic = spec.loaded_kw_per_unit - spec.idle_kw_per_unit
     return spec.count * (spec.idle_kw_per_unit + utilization * dynamic)
 
 
+def component_power(spec: ComponentSpec, utilization: float) -> float:
+    """Power draw of one component class in kW at the given utilization.
+
+    LINEAR components draw count * (idle + u * (loaded - idle)); CONSTANT
+    components draw count * idle at every utilization.
+    """
+    _check_utilization(utilization)
+    return _draw(spec, utilization)
+
+
 def system_power(model: SystemModel, utilization: float) -> PowerBreakdown:
-    """Evaluate every component at the given utilization and sum the draws;
-    finite draws whose total passes the float range raise a DomainError."""
-    per_component = {c.name: component_power(c, utilization) for c in model.components}
+    """Evaluate every component at the given utilization and sum the draws.
+
+    The utilization is checked once, before any component, so a model without
+    components rejects it too; finite draws whose total passes the float range
+    raise a DomainError."""
+    _check_utilization(utilization)
+    per_component = {c.name: _draw(c, utilization) for c in model.components}
     total_kw = sum(per_component.values())
     if not math.isfinite(total_kw):
         raise DomainError(
@@ -143,7 +155,9 @@ def apply_power_factor(
     WHOLE_DRAW scales both the idle and loaded per-unit figures; DYNAMIC_ONLY
     scales only the loaded-minus-idle span, leaving the idle floor untouched.
     Factors compose multiplicatively and order-independently; the input model
-    is not modified.
+    is not modified. The scaled component is checked as a new ComponentSpec;
+    the model's names are the input's, which passed SystemModel's checks, so
+    they are not checked again.
     """
     if not (math.isfinite(factor) and factor >= 0):
         raise DomainError(f"power factor must be >= 0, got {factor}")
@@ -154,8 +168,11 @@ def apply_power_factor(
     else:
         loaded = idle + (spec.loaded_kw_per_unit - idle) * factor
     scaled = ComponentSpec(spec.name, spec.count, idle, loaded, spec.load_response)
-    components = tuple([scaled if c is spec else c for c in model.components])
-    return SystemModel(model.name, components, model.compute_component)
+    scaled_model = object.__new__(SystemModel)
+    scaled_model.__dict__.update(
+        model.__dict__, components=tuple([scaled if c is spec else c for c in model.components])
+    )
+    return scaled_model
 
 
 _MODEL_FIELDS = ("name", "components", "compute_component")

@@ -20,11 +20,12 @@ from .emissions import (
 from .errors import DataFormatError, DomainError
 from .freq_policy import (
     AppBenchmark,
-    Intervention,
+    BenchmarkTable,
     JobMix,
     PolicyDecision,
     PolicyRule,
-    fleet_ratios,
+    fleet_of_rows,
+    fleet_ratios,  # noqa: F401  (the bare-input form; kept importable from here)
     load_benchmark_table,
 )
 from .power_model import (
@@ -45,6 +46,12 @@ BIOS_DETERMINISM_POWER_FACTOR = 0.935
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario's inputs. Building it checks the utilization, duration and
+    BIOS factor; the model, mix and rule were checked when they were built, so
+    mutating `mix.weights` later goes unchecked. The benchmarks become a
+    BenchmarkTable, which `dataclasses.replace` passes on: its rows are checked
+    at its first run."""
+
     model: SystemModel
     utilization: float
     mix: JobMix
@@ -57,7 +64,8 @@ class ScenarioConfig:
     name: str = "scenario"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "benchmarks", tuple(self.benchmarks))
+        if type(self.benchmarks) is not BenchmarkTable:
+            object.__setattr__(self, "benchmarks", BenchmarkTable(self.benchmarks))
         if not 0.0 <= self.utilization <= 1.0:
             raise DomainError(f"utilization must be within [0, 1], got {self.utilization}")
         if not (math.isfinite(self.duration_hours) and self.duration_hours > 0):
@@ -88,12 +96,15 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     Scope-3 emissions are reported as zero, with a flag, when no embodied
     emissions are configured. A power or emissions total past the float range
     raises the DomainError of the step that makes it.
+
+    A run checks what building the config did not: the compute component, the
+    scaled draws, the table's rows (once per table), the mix's apps, the totals.
     """
     if config.model.compute_component is None:
         raise DomainError(f"model {config.model.name!r} has no compute component to scale")
     compute = config.model.compute_component
     model = apply_power_factor(config.model, compute, config.bios_factor, FactorMode.WHOLE_DRAW)
-    fleet = fleet_ratios(config.benchmarks, config.mix.weights, config.rule)
+    fleet = fleet_of_rows(config.benchmarks.rows, config.mix.weights, config.rule)
     model = apply_power_factor(model, compute, fleet.fleet_power_ratio, FactorMode.DYNAMIC_ONLY)
     breakdown = system_power(model, config.utilization)
     emissions = lifetime_emissions(
@@ -126,11 +137,7 @@ def sweep_threshold(config: ScenarioConfig, thresholds) -> list[tuple[float, Sce
     for threshold in thresholds:
         if not 0.0 <= threshold <= 1.0:
             raise DomainError(f"threshold must be within [0, 1], got {threshold}")
-    losses = sorted(
-        1.0 - b.perf_ratio
-        for b in config.benchmarks
-        if b.intervention is Intervention.FREQ_CAP_2000
-    )
+    losses = config.benchmarks.freq_cap_losses
     by_count: dict[int, ScenarioResult] = {}
     results = []
     for threshold in sorted(thresholds):
@@ -183,7 +190,7 @@ def load_scenario_config(path: str | Path) -> ScenarioConfig:
         model=model,
         utilization=number(doc, "utilization", where),
         mix=mix,
-        benchmarks=tuple(benchmarks),
+        benchmarks=benchmarks,
         rule=PolicyRule(number(rule_doc, "perf_loss_threshold", rule_where)),
         duration_hours=number(doc, "duration_hours", where),
         carbon=_carbon_from_dict(doc["carbon"], base_dir, f"{where}: 'carbon'"),

@@ -69,6 +69,15 @@ def test_power_rejects_bad_utilization(capsys):
     assert "1.5" in err
 
 
+@pytest.mark.parametrize("utilization", ["1.5", "nan"])
+def test_power_on_a_model_without_components_checks_the_utilization(capsys, tmp_path, utilization):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"name": "empty", "compute_component": null, "components": []}')
+    code, out, err = _run(capsys, "power", str(empty), "-u", utilization)
+    assert (code, out) == (1, "")
+    assert err == f"error: utilization must be within [0, 1], got {float(utilization)}\n"
+
+
 def test_power_dynamic_factor(capsys):
     doc = _run_json(
         capsys,

@@ -119,6 +119,31 @@ def test_scope2_rejects_negative_energy():
                 scope2_emissions([((T0, T0 + _hours(1)), energy)], profile)
 
 
+def test_scope2_in_range_after_a_gram_sum_past_the_float_range():
+    # 1e5 kWh at 1e304 g/kWh is 1e309 g but 1e306 kg
+    one = [((T0, T0 + _hours(1)), 1e5)]
+    for profile in (
+        CarbonIntensityProfile.constant(1e304),
+        CarbonIntensityProfile.from_series([(T0, 1e304)]),
+    ):
+        assert scope2_emissions(one, profile) == pytest.approx(1e306, rel=1e-15)
+    # two intervals whose gram sum passes the float range, as a list and as a generator
+    two = [((T0, T0 + _hours(1)), 1e5), ((T0 + _hours(1), T0 + _hours(2)), 1e5)]
+    profile = CarbonIntensityProfile.constant(1e303)
+    assert scope2_emissions(two, profile) == pytest.approx(2e305, rel=1e-15)
+    assert scope2_emissions(iter(two), profile) == scope2_emissions(two, profile)
+
+
+def test_scope2_past_the_float_range_in_kg_names_the_inputs():
+    intervals = [((T0, T0 + _hours(h + 1)), 1e308) for h in range(3)]
+    with pytest.raises(DomainError) as err:
+        scope2_emissions(intervals, CarbonIntensityProfile.constant(1e304))
+    assert str(err.value) == (
+        "scope-2 emissions exceed the float range: 3 intervals of up to 1e+308 kWh "
+        "at up to 1e+304 g/kWh"
+    )
+
+
 _PROFILE_KINDS = {
     "constant": CarbonIntensityProfile.constant(50.0),
     "series": CarbonIntensityProfile.from_series([(T0, 50.0)]),

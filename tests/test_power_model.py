@@ -111,6 +111,17 @@ def test_system_power_empty_model_total_zero():
     assert system_power(empty, 0.5).total_kw == 0.0
 
 
+@pytest.mark.parametrize("utilization", [-0.1, 1.5, float("nan")])
+def test_system_power_checks_the_utilization_without_components(utilization):
+    empty = SystemModel(name="empty", components=(), compute_component=None)
+    with pytest.raises(DomainError) as err:
+        system_power(empty, utilization)
+    assert str(err.value) == f"utilization must be within [0, 1], got {utilization}"
+    with pytest.raises(DomainError) as err_with_one:
+        system_power(SystemModel("one", (COMPUTE,)), utilization)
+    assert str(err_with_one.value) == str(err.value)
+
+
 def test_system_power_past_the_float_range_names_the_model_and_utilization():
     # each unit's draw is finite; the count times it is not
     model = SystemModel("huge", (ComponentSpec("nodes", 2, 1e308, 1e308),))

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from wattplan import simulator
 from wattplan.datafiles import to_json
-from wattplan.emissions import CarbonIntensityProfile
+from wattplan.emissions import CarbonIntensityProfile, lifetime_emissions
 from wattplan.errors import DomainError
 from wattplan.freq_policy import (
     AppBenchmark,
@@ -37,10 +37,18 @@ from wattplan.power_model import (
     ComponentSpec,
     FactorMode,
     LoadResponse,
+    PowerBreakdown,
     SystemModel,
     apply_power_factor,
+    component_power,
 )
-from wattplan.simulator import ScenarioConfig, result_to_dict, run_scenario, sweep_threshold
+from wattplan.simulator import (
+    ScenarioConfig,
+    ScenarioResult,
+    result_to_dict,
+    run_scenario,
+    sweep_threshold,
+)
 
 FREQ = Intervention.FREQ_CAP_2000
 BIOS = Intervention.BIOS_DETERMINISM
@@ -368,3 +376,197 @@ def test_sweep_equals_the_tuple_key_oracle(case):
     if isinstance(expected, list):
         assert _shared(actual) == _shared(expected)
         assert [result_to_dict(r) for _, r in actual] == [result_to_dict(r) for _, r in expected]
+
+
+# -- the config path ---------------------------------------------------------
+#
+# A config's table keeps its row map across runs and `replace`, so the config
+# path no longer calls `simulator.fleet_ratios` and `_on_reference_pieces`
+# cannot route it to a reference. These bodies take the config's fields as
+# plain inputs on every call instead.
+
+
+def plain_fleet_ratios(benchmarks, weights: dict[str, float], rule: PolicyRule) -> FleetRatios:
+    """Reference fleet_ratios: the row map, its duplicate check and the mix
+    check on every call, then `recommend` per weighted app."""
+    rows: dict[str, AppBenchmark] = {}
+    for bench in benchmarks:
+        app = bench.app_name
+        if bench.intervention is not Intervention.FREQ_CAP_2000:
+            rows.setdefault(app, bench)
+        elif app in rows and rows[app].intervention is Intervention.FREQ_CAP_2000:
+            raise DomainError(f"duplicate benchmark for app {app!r}")
+        else:
+            rows[app] = bench
+    JobMix(weights)  # raises unless the weights are a valid mix
+    for app in weights:
+        if app not in rows:
+            raise DomainError(f"unknown app in weights: {app!r}")
+
+    fleet_power = 0.0
+    fleet_throughput = 0.0
+    decisions: list[PolicyDecision] = []
+    for app, source in rows.items():
+        if app not in weights:
+            continue
+        decision = recommend(source, rule)
+        decisions.append(decision)
+        weight = weights[app]
+        if decision.reverted:
+            fleet_power += weight
+            fleet_throughput += weight
+        else:
+            fleet_power += weight * (source.energy_ratio * source.perf_ratio)
+            fleet_throughput += weight * source.perf_ratio
+    return FleetRatios(
+        fleet_power_ratio=fleet_power,
+        fleet_throughput_ratio=fleet_throughput,
+        decisions=tuple(decisions),
+    )
+
+
+def reference_run_scenario(config: ScenarioConfig, rule: PolicyRule | None = None):
+    """Reference run_scenario: `plain_fleet_ratios` on the config's benchmarks
+    and mix weights, with the reference apply_power_factor and system_power."""
+    if config.model.compute_component is None:
+        raise DomainError(f"model {config.model.name!r} has no compute component to scale")
+    compute = config.model.compute_component
+    model = replace_apply_power_factor(
+        config.model, compute, config.bios_factor, FactorMode.WHOLE_DRAW
+    )
+    fleet = plain_fleet_ratios(tuple(config.benchmarks), config.mix.weights, rule or config.rule)
+    model = replace_apply_power_factor(
+        model, compute, fleet.fleet_power_ratio, FactorMode.DYNAMIC_ONLY
+    )
+    breakdown = reference_system_power(model, config.utilization)
+    emissions = lifetime_emissions(
+        breakdown.total_kw, config.duration_hours, config.carbon, config.embodied
+    )
+    return ScenarioResult(
+        name=config.name,
+        mean_power_kw=breakdown.total_kw,
+        breakdown=breakdown,
+        energy_kwh=breakdown.total_kw * config.duration_hours,
+        emissions=emissions,
+        scope3_unset=config.embodied is None,
+        throughput_index=fleet.fleet_throughput_ratio,
+        decisions=fleet.decisions,
+        duration_hours=config.duration_hours,
+    )
+
+
+def reference_system_power(model: SystemModel, utilization: float) -> PowerBreakdown:
+    """Reference system_power: component_power, with its utilization check, per
+    component."""
+    per_component = {c.name: component_power(c, utilization) for c in model.components}
+    total_kw = sum(per_component.values())
+    if not math.isfinite(total_kw):
+        raise DomainError(
+            f"model {model.name!r}: total power exceeds the float range "
+            f"at utilization {utilization}"
+        )
+    return PowerBreakdown(per_component=per_component, total_kw=total_kw)
+
+
+def reference_sweep_threshold(config: ScenarioConfig, thresholds):
+    """Reference sweep_threshold: the reference scenario at every threshold."""
+    thresholds = list(thresholds)
+    for threshold in thresholds:
+        if not 0.0 <= threshold <= 1.0:
+            raise DomainError(f"threshold must be within [0, 1], got {threshold}")
+    return [
+        (threshold, reference_run_scenario(config, PolicyRule(threshold)))
+        for threshold in sorted(thresholds)
+    ]
+
+
+@st.composite
+def _config_cases(draw):
+    benchmarks, weights = draw(_tables())
+    threshold = draw(_thresholds(benchmarks))
+    if draw(st.booleans()):
+        threshold = np.float64(threshold)
+    return SimpleNamespace(
+        model=draw(_models()),
+        benchmarks=benchmarks,
+        weights=weights,
+        rule=PolicyRule(threshold),
+        utilization=draw(st.floats(0.0, 1.0)),
+        bios_factor=draw(st.floats(0.05, 3.0) | st.sampled_from([0.935, 1.0, 1e300])),
+        thresholds=draw(st.lists(_thresholds(benchmarks), max_size=8)),
+        made_by=draw(st.sampled_from(["init", "replace", "retable", "copy", "pickle"])),
+    )
+
+
+_OTHER_TABLE = (AppBenchmark("other", 1, FREQ, 0.9, 0.8),)
+
+
+def _config_made_by(case, mix: JobMix) -> ScenarioConfig:
+    """The case's config, made as case.made_by says; all but "init" make it from
+    a config that has run first, so any table it shares has built what it can."""
+    fields = dict(
+        model=case.model,
+        utilization=case.utilization,
+        mix=mix,
+        benchmarks=case.benchmarks,
+        rule=case.rule,
+        duration_hours=12.0,
+        carbon=CarbonIntensityProfile.constant(100.0),
+        bios_factor=case.bios_factor,
+    )
+    if case.made_by == "retable":
+        other = ScenarioConfig(**{
+            **fields, "benchmarks": _OTHER_TABLE, "mix": JobMix({"other": 1.0})
+        })
+        _outcome(run_scenario, other)
+        return replace(other, benchmarks=case.benchmarks, mix=mix)
+    config = ScenarioConfig(**fields)
+    if case.made_by == "init":
+        return config
+    first = replace(config, rule=PolicyRule(0.5), utilization=0.5, bios_factor=1.0)
+    _outcome(run_scenario, first)
+    _outcome(sweep_threshold, first, [0.0, 0.25, 1.0])
+    if case.made_by == "replace":
+        return replace(first, rule=case.rule, utilization=case.utilization,
+                       bios_factor=case.bios_factor)
+    _outcome(run_scenario, config)
+    if case.made_by == "copy":
+        return copy.copy(config)
+    return pickle.loads(pickle.dumps(config))
+
+
+def _mixed_case(made_by):
+    """A BIOS row before one app's freq-cap row, and an unweighted BIOS-only app."""
+    return SimpleNamespace(
+        model=SystemModel("m", (ComponentSpec("c0", 5860, 0.25, 0.5),), "c0"),
+        benchmarks=[
+            AppBenchmark("a", 1, FREQ, 0.9, 0.8),
+            AppBenchmark("b", 1, BIOS, 0.95, 0.9),
+            AppBenchmark("b", 1, FREQ, 0.75, 0.9),
+            AppBenchmark("c", 1, BIOS, 0.95, 0.9),
+        ],
+        weights={"a": 0.5, "b": 0.5},
+        rule=PolicyRule(0.1),
+        utilization=0.92,
+        bios_factor=0.935,
+        thresholds=[1.0 - 0.75, 0.0, 1.0, 1.0 - 0.9],
+        made_by=made_by,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_config_cases())
+@example(case=_mixed_case("replace"))
+@example(case=_mixed_case("pickle"))
+def test_config_path_equals_the_bodies_that_took_plain_inputs(case):
+    try:
+        mix = JobMix(case.weights)
+    except DomainError:
+        return  # no config holds weights that are not a mix
+    config = _config_made_by(case, mix)
+    expected = _outcome(reference_run_scenario, config)
+    assert repr(_outcome(run_scenario, config)) == repr(expected)
+    # the second run reads what the first built
+    assert repr(_outcome(run_scenario, config)) == repr(expected)
+    expected = _outcome(reference_sweep_threshold, config, case.thresholds)
+    assert repr(_outcome(sweep_threshold, config, case.thresholds)) == repr(expected)

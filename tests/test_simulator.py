@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wattplan import simulator
+from wattplan import freq_policy, simulator
 from wattplan.datafiles import data_path
 from wattplan.emissions import CarbonIntensityProfile, EmbodiedEmissions
 from wattplan.errors import DataFormatError, DomainError
@@ -279,6 +279,55 @@ def test_sweep_runs_the_scenario_once_per_decision_set(monkeypatch, stacked_conf
     with pytest.raises(DomainError, match="threshold"):
         sweep_threshold(stacked_config, [0.0, 0.5, 1.2])
     assert calls == []
+
+
+def _counting_row_builds(monkeypatch):
+    """The benchmark tables passed to the row-map build from now on."""
+    builds = []
+    build = freq_policy._app_rows
+
+    def counting(benchmarks):
+        builds.append(benchmarks)
+        return build(benchmarks)
+
+    monkeypatch.setattr(freq_policy, "_app_rows", counting)
+    return builds
+
+
+def test_a_benchmark_table_is_checked_once_over_a_replace_grid(monkeypatch, stacked_config):
+    # a copy of the bundled rows, as a table nothing has read yet
+    config = replace(stacked_config, benchmarks=tuple(stacked_config.benchmarks))
+    builds = _counting_row_builds(monkeypatch)
+    rng = random.Random(11)
+    results = []
+    for _ in range(200):
+        point = replace(
+            config,
+            utilization=rng.uniform(0.5, 1.0),
+            bios_factor=rng.uniform(0.9, 1.0),
+            rule=PolicyRule(rng.random()),
+        )
+        assert point.benchmarks is config.benchmarks
+        results.append(run_scenario(point))
+    sweep_threshold(config, np.linspace(0.0, 1.0, 1001))
+    assert len(builds) == 1 and builds[0] is config.benchmarks
+    assert len({r.mean_power_kw for r in results}) == 200
+
+
+def test_a_duplicated_row_raises_from_every_run_not_from_the_config(monkeypatch):
+    rows = (
+        AppBenchmark("a", 1, Intervention.FREQ_CAP_2000, 0.9, 0.8),
+        AppBenchmark("a", 1, Intervention.FREQ_CAP_2000, 0.8, 0.8),
+    )
+    config = _tiny_config(benchmarks=rows, mix=JobMix({"a": 1.0}))
+    builds = _counting_row_builds(monkeypatch)
+    points = [config, config, replace(config, rule=PolicyRule(0.5), utilization=0.5)]
+    for point in points:
+        with pytest.raises(DomainError, match=r"^duplicate benchmark for app 'a'$"):
+            run_scenario(point)
+    with pytest.raises(DomainError, match=r"^duplicate benchmark for app 'a'$"):
+        sweep_threshold(config, [0.0, 0.5])
+    assert len(builds) == 4
 
 
 def test_sweep_over_numpy_thresholds_encodes_like_python_floats(stacked_config):
