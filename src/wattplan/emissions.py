@@ -342,9 +342,11 @@ def priced_emissions(
     its energy priced at one mean intensity in g/kWh. With `embodied=None` the
     result is scope-2 only: scope-3 is exactly 0.0 and the total equals scope-2.
     The mean power and the duration are taken as checked; a DomainError names
-    the inputs when the intensity is not finite and >= 0, or when the energy
-    or the total passes the float range."""
-    if not (math.isfinite(intensity) and intensity >= 0):
+    the inputs when the intensity is negative or NaN, or when the intensity, the
+    energy or the total passes the float range."""
+    if not intensity >= 0:
+        raise DomainError(f"carbon intensity must be >= 0 g/kWh, got {intensity}")
+    if math.isinf(intensity):
         raise DomainError(
             f"the run's mean carbon intensity exceeds the float range, got {intensity} g/kWh"
         )

@@ -32,7 +32,9 @@ class AppBenchmark:
     """After/before performance and energy ratios for one application.
 
     perf_ratio > 1 means the change made the application faster; energy_ratio
-    is total energy after over before.
+    is total energy after over before. Building it also builds the decision
+    that keeps the capped frequency and the one that reverts, which every
+    `recommend` call shares.
     """
 
     app_name: str
@@ -52,25 +54,14 @@ class AppBenchmark:
             raise DomainError(
                 f"benchmark {self.app_name!r}: energy_ratio must be > 0, got {self.energy_ratio}"
             )
-
-    @cached_property
-    def _decisions(self) -> tuple["PolicyDecision", "PolicyDecision"]:
-        """The decision that keeps the capped frequency and the one that
-        reverts, built on first use; they are frozen, so every call shares them."""
         perf_loss = 1.0 - self.perf_ratio
         energy_saving = 1.0 - self.energy_ratio
-        return (
+        object.__setattr__(self, "_decisions", (
             PolicyDecision(self.app_name, FrequencySetting.F2000, False, perf_loss, energy_saving),
             PolicyDecision(
                 self.app_name, FrequencySetting.F2250_TURBO, True, perf_loss, energy_saving
             ),
-        )
-
-    def __getstate__(self) -> dict:
-        # the cached decisions are derived, so a pickle or copy leaves them out
-        state = dict(self.__dict__)
-        state.pop("_decisions", None)
-        return state
+        ))
 
 
 @dataclass(frozen=True)
@@ -135,13 +126,6 @@ class FleetRatios:
     decisions: tuple[PolicyDecision, ...]
 
 
-def _not_freq_cap(benchmark: AppBenchmark) -> DomainError:
-    return DomainError(
-        f"policy recommendations need {Intervention.FREQ_CAP_2000.value} benchmarks; "
-        f"{benchmark.app_name!r} records {benchmark.intervention.value}"
-    )
-
-
 def recommend(benchmark: AppBenchmark, rule: PolicyRule) -> PolicyDecision:
     """Default frequency for one application under the revert rule.
 
@@ -149,7 +133,10 @@ def recommend(benchmark: AppBenchmark, rule: PolicyRule) -> PolicyDecision:
     strict: a loss exactly at the threshold keeps the capped frequency.
     """
     if benchmark.intervention is not Intervention.FREQ_CAP_2000:
-        raise _not_freq_cap(benchmark)
+        raise DomainError(
+            f"policy recommendations need {Intervention.FREQ_CAP_2000.value} benchmarks; "
+            f"{benchmark.app_name!r} records {benchmark.intervention.value}"
+        )
     kept, reverted = benchmark._decisions
     return reverted if kept.perf_loss > rule.perf_loss_threshold else kept
 
@@ -172,7 +159,7 @@ def _app_rows(benchmarks) -> dict[str, AppBenchmark]:
 class BenchmarkTable(tuple):
     """A tuple of AppBenchmark rows that keeps, from first use, the row map
     (whose build, with its duplicate check, runs again while it fails) and the
-    sorted freq-cap perf losses. A copy or pickle carries only the rows."""
+    sorted freq-cap perf losses. A copy or pickle carries what it has built."""
 
     @cached_property
     def rows(self) -> dict[str, AppBenchmark]:
@@ -183,9 +170,6 @@ class BenchmarkTable(tuple):
         return tuple(sorted(
             1.0 - b.perf_ratio for b in self if b.intervention is Intervention.FREQ_CAP_2000
         ))
-
-    def __reduce__(self):
-        return type(self), (tuple(self),)
 
 
 def fleet_ratios(
@@ -212,27 +196,23 @@ def fleet_of_rows(
     rows: dict[str, AppBenchmark], weights: dict[str, float], rule: PolicyRule
 ) -> FleetRatios:
     """fleet_ratios over a checked row map and weights taken as a valid mix;
-    it checks only that each weighted app has a freq-cap row."""
+    it checks that each weighted app has a row, and `recommend` decides each."""
     for app in weights:
         if app not in rows:
             raise DomainError(f"unknown app in weights: {app!r}")
-    threshold = rule.perf_loss_threshold
     fleet_power = 0.0
     fleet_throughput = 0.0
     decisions: list[PolicyDecision] = []
     for app, source in rows.items():
         if app not in weights:
             continue
-        if source.intervention is not Intervention.FREQ_CAP_2000:
-            raise _not_freq_cap(source)
-        kept, reverted = source._decisions
+        decision = recommend(source, rule)
+        decisions.append(decision)
         weight = weights[app]
-        if kept.perf_loss > threshold:
-            decisions.append(reverted)
+        if decision.reverted:
             fleet_power += weight
             fleet_throughput += weight
         else:
-            decisions.append(kept)
             fleet_power += weight * (source.energy_ratio * source.perf_ratio)
             fleet_throughput += weight * source.perf_ratio
     return FleetRatios(

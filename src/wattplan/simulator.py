@@ -25,7 +25,6 @@ from .freq_policy import (
     PolicyDecision,
     PolicyRule,
     fleet_of_rows,
-    fleet_ratios,  # noqa: F401  (the bare-input form; kept importable from here)
     load_benchmark_table,
 )
 from .power_model import (

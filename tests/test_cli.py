@@ -78,6 +78,14 @@ def test_power_on_a_model_without_components_checks_the_utilization(capsys, tmp_
     assert err == f"error: utilization must be within [0, 1], got {float(utilization)}\n"
 
 
+def test_power_on_components_that_are_not_a_list_is_a_format_error(capsys, tmp_path):
+    model = tmp_path / "m.json"
+    model.write_text('{"name": "m", "compute_component": null, "components": {}}')
+    code, out, err = _run(capsys, "power", str(model), "-u", "0.5")
+    assert (code, out) == (2, "")
+    assert err == f"error: {model}: 'components' must be a list\n"
+
+
 def test_power_dynamic_factor(capsys):
     doc = _run_json(
         capsys,

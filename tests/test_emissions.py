@@ -565,6 +565,19 @@ def test_priced_emissions_past_the_float_range_names_its_inputs():
         priced_emissions(2530, 24, 50.0, EmbodiedEmissions(1e308, 1.0))
 
 
+@pytest.mark.parametrize(
+    "intensity, message",
+    [
+        (-1.0, r"^carbon intensity must be >= 0 g/kWh, got -1\.0$"),
+        (math.nan, r"^carbon intensity must be >= 0 g/kWh, got nan$"),
+        (math.inf, r"^the run's mean carbon intensity exceeds the float range, got inf g/kWh$"),
+    ],
+)
+def test_priced_emissions_names_what_is_wrong_with_the_intensity(intensity, message):
+    with pytest.raises(DomainError, match=message):
+        priced_emissions(1.0, 1.0, intensity, None)
+
+
 def test_amortized_scope3_past_a_float_range_product_is_in_range():
     embodied = EmbodiedEmissions(1e308, 1e10)
     share = amortized_scope3(embodied, 24.0)

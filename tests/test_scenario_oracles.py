@@ -178,10 +178,14 @@ def _outcome(function, *args):
 
 def _on_reference_pieces(function, *args):
     """The outcome of function with the simulator calling the reference
-    apply_power_factor and fleet_ratios."""
+    apply_power_factor, and derived_fleet_ratios on the rows of the row map in
+    place of fleet_of_rows."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulator, "apply_power_factor", replace_apply_power_factor)
-        patch.setattr(simulator, "fleet_ratios", derived_fleet_ratios)
+        patch.setattr(
+            simulator, "fleet_of_rows",
+            lambda rows, weights, rule: derived_fleet_ratios(tuple(rows.values()), weights, rule),
+        )
         return _outcome(function, *args)
 
 
@@ -381,9 +385,8 @@ def test_sweep_equals_the_tuple_key_oracle(case):
 # -- the config path ---------------------------------------------------------
 #
 # A config's table keeps its row map across runs and `replace`, so the config
-# path no longer calls `simulator.fleet_ratios` and `_on_reference_pieces`
-# cannot route it to a reference. These bodies take the config's fields as
-# plain inputs on every call instead.
+# path calls `simulator.fleet_of_rows` on a map that was checked once. These
+# bodies take the config's fields as plain inputs on every call instead.
 
 
 def plain_fleet_ratios(benchmarks, weights: dict[str, float], rule: PolicyRule) -> FleetRatios:
