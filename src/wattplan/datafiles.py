@@ -51,10 +51,11 @@ def resolve_input_path(arg: str) -> Path:
 
 def read_json(path: str | Path):
     """Parse a JSON file. Python's NaN and Infinity literals are accepted here
-    and left to the range checks of whatever the document builds."""
+    and left to the range checks of whatever the document builds; an integer
+    past Python's int-string digit limit is invalid JSON."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
 
 

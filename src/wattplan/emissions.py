@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from functools import cached_property, reduce
+from itertools import pairwise
 from pathlib import Path
 
 from .datafiles import check_fields, number, timed_values
@@ -100,15 +101,15 @@ class CarbonIntensityProfile:
         object.__setattr__(self, "series", tuple(self.series))
         if not self.series:
             raise DomainError("series profile must contain at least one entry")
-        times = self._times
+        times = tuple(map(operator.itemgetter(0), self.series))
+        values = tuple(map(operator.itemgetter(1), self.series))
         # naive stamps are taken as UTC; the points are rebuilt only if a stamp is naive
         if None in map(operator.attrgetter("tzinfo"), times):
             times = tuple(map(aware, times))
-            object.__setattr__(self, "_times", times)
-            points = tuple(zip(times, map(operator.itemgetter(1), self.series)))
-            object.__setattr__(self, "series", points)
+            object.__setattr__(self, "series", tuple(zip(times, values)))
+        # for the lookups to bisect; not a field, so equality and repr see only the series
+        object.__setattr__(self, "_times", times)
         # each check is a C-level pass; the loops only find the fault to name
-        values = tuple(map(operator.itemgetter(1), self.series))
         if not all(map(operator.lt, times, times[1:])):
             i = next(i for i in range(len(times)) if times[i + 1] <= times[i])
             raise DomainError(
@@ -129,21 +130,23 @@ class CarbonIntensityProfile:
     @classmethod
     def from_csv(cls, path: str | Path) -> "CarbonIntensityProfile":
         """Load a series profile from CSV with header timestamp,intensity_g_per_kwh."""
-        points: list[tuple[datetime, float]] = []
-        # raised after the rows, so that a malformed row anywhere is named first
-        disorder = None
-        for line, ts, value in timed_values(path, "intensity_g_per_kwh", "intensity", "g/kWh"):
-            if points and ts <= points[-1][0] and disorder is None:
-                disorder = DataFormatError(
-                    f"{path}: line {line}: timestamps not strictly increasing "
-                    f"({points[-1][0]} then {ts})"
-                )
-            points.append((ts, value))
-        if disorder is not None:
-            raise disorder
+        rows = timed_values(path, "intensity_g_per_kwh", "intensity", "g/kWh")
+        points = [(ts, value) for _, ts, value in rows]
         if not points:
             raise DataFormatError(f"{path}: no intensity rows found")
-        return cls.from_series(points)
+        try:
+            return cls.from_series(points)
+        except DomainError:
+            # timed_values checked each value, so the order check failed: read
+            # the rows again to name the line of the first disorder
+            rows = timed_values(path, "intensity_g_per_kwh", "intensity", "g/kWh")
+            for (_, before, _), (line, ts, _) in pairwise(rows):
+                if ts <= before:
+                    raise DataFormatError(
+                        f"{path}: line {line}: timestamps not strictly increasing "
+                        f"({before} then {ts})"
+                    ) from None
+            raise
 
     def start_time(self) -> datetime | None:
         """First covered instant, or None for a constant profile."""
@@ -186,47 +189,32 @@ class CarbonIntensityProfile:
         # time order from 0.0, as a loop over every step would.
         first = bisect_right(self._times, start) - 1
         last = bisect_left(self._times, end) - 1
-        weighted = 0.0 + self._held(first, start, end)
+        series = self.series
+        weighted = 0.0 + series[first][1] * self._held(first, start, end)
         if last > first:
             weighted = reduce(operator.add, self._step_terms[first + 1 : last], weighted)
-            weighted += self._held(last, start, end)
-        if math.isfinite(weighted):
-            return weighted / (end - start).total_seconds()
-        return self._mean_of_shares(first, max(first, last), start, end)
-
-    def _held(self, i: int, start: datetime, end: datetime) -> float:
-        """Step i's value times the seconds it holds inside [start, end)."""
-        t_i, value = self.series[i]
-        hi = end if i + 1 == len(self.series) else min(end, self.series[i + 1][0])
-        return value * (hi - max(start, t_i)).total_seconds()
-
-    def _mean_of_shares(self, first: int, last: int, start: datetime, end: datetime) -> float:
-        """mean_intensity for a weighted sum past the float range: each step's
-        value times the share of [start, end) it holds, summed over steps
-        first to last. It repeats _held's overlap rather than give _held a
-        divisor, which every call in range would pay."""
+            weighted += series[last][1] * self._held(last, start, end)
         seconds = (end - start).total_seconds()
+        if math.isfinite(weighted):
+            return weighted / seconds
+        # the weighted sum passed the float range: sum each step's share instead
         mean = 0.0
         for i in range(first, last + 1):
-            t_i, value = self.series[i]
-            hi = end if i + 1 == len(self.series) else min(end, self.series[i + 1][0])
-            mean += value * ((hi - max(start, t_i)).total_seconds() / seconds)
+            mean += series[i][1] * (self._held(i, start, end) / seconds)
         return mean
 
-    @cached_property
-    def _times(self) -> tuple[datetime, ...]:
-        """The series' timestamps, kept so that lookups bisect without
-        rebuilding them; built by the order check."""
-        return tuple(map(operator.itemgetter(0), self.series))
+    def _held(self, i: int, start: datetime, end: datetime) -> float:
+        """The seconds that step i holds inside [start, end)."""
+        hi = end if i + 1 == len(self._times) else min(end, self._times[i + 1])
+        return (hi - max(start, self._times[i])).total_seconds()
 
     @cached_property
     def _step_terms(self) -> tuple[float, ...]:
         """Each step's value times its whole length in seconds, for every step
         but the last, which has no end; built on first use."""
-        series = self.series
         return tuple(
             value * (t_next - t_i).total_seconds()
-            for (t_i, value), (t_next, _) in zip(series, series[1:])
+            for (t_i, value), (t_next, _) in pairwise(self.series)
         )
 
 

@@ -9,6 +9,7 @@ frequency caps) enter as multiplicative factors on a single component's draw.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -53,6 +54,8 @@ class ComponentSpec:
             raise DomainError(
                 f"component {self.name!r}: count must be a positive integer, got {self.count!r}"
             )
+        if self.count > sys.float_info.max:
+            raise DomainError(f"component {self.name!r}: count exceeds the float range")
         if not (math.isfinite(self.idle_kw_per_unit) and self.idle_kw_per_unit >= 0):
             raise DomainError(
                 f"component {self.name!r}: idle draw must be >= 0 kW, got {self.idle_kw_per_unit}"
@@ -135,10 +138,14 @@ def system_power(model: SystemModel, utilization: float) -> PowerBreakdown:
 
     The utilization is checked once, before any component, so a model without
     components rejects it too; finite draws whose total passes the float range
-    raise a DomainError."""
+    raise a DomainError. The draws are added in component order, as sum() did
+    before Python 3.12, so that every Python gives the same total."""
     _check_utilization(utilization)
-    per_component = {c.name: _draw(c, utilization) for c in model.components}
-    total_kw = sum(per_component.values())
+    per_component = {}
+    total_kw = 0
+    for c in model.components:
+        per_component[c.name] = draw = _draw(c, utilization)
+        total_kw += draw
     if not math.isfinite(total_kw):
         raise DomainError(
             f"model {model.name!r}: total power exceeds the float range "

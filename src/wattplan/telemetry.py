@@ -6,6 +6,7 @@ redistributable)."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
@@ -186,6 +187,8 @@ class SeriesSegment:
             )
         if not isinstance(self.n_samples, int) or self.n_samples < 1:
             raise DomainError(f"segment n_samples must be >= 1, got {self.n_samples!r}")
+        if self.n_samples > sys.float_info.max:
+            raise DomainError("segment n_samples exceeds the float range")
         if not (math.isfinite(self.mean_kw) and self.mean_kw >= 0):
             raise DomainError(f"segment mean must be finite and >= 0 kW, got {self.mean_kw}")
         if not (math.isfinite(self.noise_sd_kw) and self.noise_sd_kw >= 0):

@@ -910,6 +910,31 @@ def test_csv_errors_name_the_physical_line(
     assert err == f"error: {path}: {message}\n"
 
 
+# an integer literal longer than Python's int-string digit limit, which
+# json.dumps cannot write
+HUGE_INTEGER = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["power", "FILE", "-u", "0.5"],
+         '{"name": "m", "compute_component": null, "components": [{"name": "n", '
+         f'"count": {HUGE_INTEGER}, "idle_kw_per_unit": 1, "loaded_kw_per_unit": 1, '
+         '"load_response": "linear"}]}'),
+        (["policy", "builtin:table4_freq.csv", "--weights", "FILE"],
+         f'{{"GROMACS": {HUGE_INTEGER}}}'),
+    ],
+    ids=["model-count", "weight"],
+)
+def test_a_json_integer_past_the_digit_limit_is_a_format_error(capsys, tmp_path, argv, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = _run(capsys, *[str(path) if arg == "FILE" else arg for arg in argv])
+    _assert_rejected(code, out, err, 2)
+    assert err.startswith(f"error: {path}: invalid JSON: Exceeds the limit (4300")
+
+
 # -- numpy stays out of the subcommands that use no series ---------------------
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

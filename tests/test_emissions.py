@@ -484,6 +484,29 @@ def test_profile_csv_reports_line_numbers(tmp_path):
         CarbonIntensityProfile.from_csv(path)
 
 
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        # a quoted intensity that holds a newline spans lines 3 and 4
+        ('2022-06-01T00:00:00Z,10\n"2022-06-01T01:00:00Z","20\n"\n2022-06-01T00:30:00Z,30\n',
+         "line 5: timestamps not strictly increasing "
+         "(2022-06-01 01:00:00+00:00 then 2022-06-01 00:30:00+00:00)"),
+        # of two disorders, the first is named
+        ("2022-06-01T01:00:00Z,10\n2022-06-01T00:00:00Z,20\n"
+         "2022-06-01T02:00:00Z,30\n2022-06-01T02:00:00Z,40\n",
+         "line 3: timestamps not strictly increasing "
+         "(2022-06-01 01:00:00+00:00 then 2022-06-01 00:00:00+00:00)"),
+    ],
+    ids=["after-a-quoted-newline", "first-of-two"],
+)
+def test_profile_csv_names_the_physical_line_of_the_first_disorder(tmp_path, body, message):
+    path = tmp_path / "intensity.csv"
+    path.write_text("timestamp,intensity_g_per_kwh\n" + body)
+    with pytest.raises(DataFormatError) as err:
+        CarbonIntensityProfile.from_csv(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_amortized_scope3_zero_duration():
     embodied = EmbodiedEmissions(1_000_000.0, 50_000.0)
     assert amortized_scope3(embodied, 0.0) == 0.0

@@ -151,6 +151,9 @@ def _assert_clean_exit(code, out, err):
 @example(mutation=("model", "set", ("components", 0, "idle_kw_per_unit"), NAN))
 @example(mutation=("weights", "set", (_APPS[0],), NAN))
 @example(mutation=("recipe", "set", ("segments", 0, "n_samples"), 10**30))
+# integers past the float range, which no draw or sample step can take
+@example(mutation=("model", "set", ("components", 0, "count"), 10**400))
+@example(mutation=("recipe", "set", ("segments", 0, "n_samples"), 10**400))
 # strings that are not Unicode text, or that no file name can hold
 @example(mutation=("scenario", "set", ("name",), "\ud800"))
 @example(mutation=("scenario", "set", ("model",), "a\u0000b"))

@@ -23,6 +23,7 @@ from wattplan.power_model import (
     load_model,
 )
 from wattplan.simulator import JobMix, load_scenario_config
+from wattplan.telemetry import SeriesSegment
 
 NAN, INF = float("nan"), float("inf")
 
@@ -153,6 +154,15 @@ def test_constructors_reject_non_finite_numbers(value):
             value,
             FactorMode.WHOLE_DRAW,
         )
+
+
+# the second is past the int-string digit limit, so that no message may repr it
+@pytest.mark.parametrize("count", [10**400, 10**5000], ids=["401-digits", "5001-digits"])
+def test_counts_past_the_float_range_are_domain_errors(count):
+    with pytest.raises(DomainError, match="^component 'n': count exceeds the float range$"):
+        ComponentSpec("n", count, 0.5, 1.0)
+    with pytest.raises(DomainError, match="^segment n_samples exceeds the float range$"):
+        SeriesSegment(1.0, count, 1.0)
 
 
 @pytest.mark.parametrize("value", [NAN, INF, -INF])

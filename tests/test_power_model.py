@@ -111,6 +111,12 @@ def test_system_power_empty_model_total_zero():
     assert system_power(empty, 0.5).total_kw == 0.0
 
 
+def test_system_power_adds_the_draws_in_component_order_on_every_python():
+    # sum() compensates float sums from Python 3.12 on, and would give 1.0
+    tenths = [ComponentSpec(f"c{i}", 1, 0.1, 0.1, LoadResponse.CONSTANT) for i in range(10)]
+    assert system_power(SystemModel("tenths", tenths), 0.5).total_kw == 0.9999999999999999
+
+
 @pytest.mark.parametrize("utilization", [-0.1, 1.5, float("nan")])
 def test_system_power_checks_the_utilization_without_components(utilization):
     empty = SystemModel(name="empty", components=(), compute_component=None)

@@ -460,9 +460,12 @@ def reference_run_scenario(config: ScenarioConfig, rule: PolicyRule | None = Non
 
 def reference_system_power(model: SystemModel, utilization: float) -> PowerBreakdown:
     """Reference system_power: component_power, with its utilization check, per
-    component."""
+    component. The draws are added one by one, in component order, as sum()
+    does only before Python 3.12."""
     per_component = {c.name: component_power(c, utilization) for c in model.components}
-    total_kw = sum(per_component.values())
+    total_kw = 0
+    for draw in per_component.values():
+        total_kw += draw
     if not math.isfinite(total_kw):
         raise DomainError(
             f"model {model.name!r}: total power exceeds the float range "
