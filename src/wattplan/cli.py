@@ -2,12 +2,14 @@
 
 Subcommands: power, policy, telemetry, emissions, simulate, synth. Each
 subcommand returns one document, and main prints it as JSON with --format
-json or, by default, as the plain-text table its subparser names: a
-rendering of that document, with power in kW to 1 decimal, ratios to 4
-decimals and percentages to 1 decimal. A product past the float range is
-refused by the library step that makes it; any other result that is not
-finite gives the same single error line in either format. Exit codes: 0
-success, 1 validation/domain error, 2 I/O or parse error.
+json or, by default, as the plain-text table its subparser names, in which
+`_cell` shows each value by its key: text as it is, a flag as yes or no, a
+pct_ fraction as a percentage and kW, kWh, kg, hours and g/kWh to 1
+decimal, any other integer as it is and any other number to 4 decimals. A
+product past the float range is refused by the library step that makes it;
+any other result that is not finite gives the same single error line in
+either format. Exit codes: 0 success, 1 validation/domain error, 2 I/O or
+parse error.
 
 Each subcommand imports the modules it runs inside its function, and this
 module imports only what every subcommand needs (datafiles, errors and
@@ -41,31 +43,43 @@ def _check_finite(value) -> None:
         raise DomainError(f"a result is not finite ({value})")
 
 
-def _kw(value: float) -> str:
-    return f"{value:.1f}"
-
-
-def _ratio(value: float) -> str:
+def _cell(key: str, value) -> str:
+    """How a table shows a document value, decided by its key. A flag and a
+    unit go before an integer: a bool reads yes or no, an int 0 kW reads 0.0."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if key.startswith("pct_"):
+        return f"{100.0 * value:.1f}%"
+    if key.endswith(("_kw", "_kwh", "_kg", "_hours", "_g_per_kwh")):
+        return f"{value:.1f}"
+    if isinstance(value, int):
+        return str(value)
     return f"{value:.4f}"
 
 
-def _pct(fraction: float) -> str:
-    return f"{100.0 * fraction:.1f}%"
-
-
-def _kv_table(pairs: list[tuple[str, str]]) -> str:
+def _kv_table(pairs: list[tuple]) -> str:
     width = max(len(key) for key, _ in pairs) + 2
-    return "\n".join(f"{key:<{width}}{value}" for key, value in pairs)
+    return "\n".join(f"{key:<{width}}{_cell(key, value)}" for key, value in pairs)
+
+
+def _columns(spec: list[tuple], rows: list[dict]) -> str:
+    """A header of the keys in spec and one line per row. Each (key, align,
+    width) in spec lays out a column; a width of None fits the column to its
+    longest cell plus 2."""
+    columns = []
+    for key, align, width in spec:
+        cells = [key] + [_cell(key, row[key]) for row in rows]
+        width = max(map(len, cells)) + 2 if width is None else width
+        columns.append([f"{cell:{align}{width}}" for cell in cells])
+    return "\n".join(map("".join, zip(*columns)))
 
 
 def _breakdown_table(per_component: dict[str, float], total_kw: float) -> str:
-    names = list(per_component) + ["total"]
-    width = max(len(name) for name in names + ["component"]) + 2
-    lines = [f"{'component':<{width}}{'power_kw':>10}"]
-    for name, value in per_component.items():
-        lines.append(f"{name:<{width}}{_kw(value):>10}")
-    lines.append(f"{'total':<{width}}{_kw(total_kw):>10}")
-    return "\n".join(lines)
+    named = [*per_component.items(), ("total", total_kw)]
+    rows = [{"component": name, "power_kw": kw} for name, kw in named]
+    return _columns([("component", "<", None), ("power_kw", ">", 10)], rows)
 
 
 def _parse_factor(text: str) -> tuple:
@@ -120,23 +134,11 @@ def _cmd_policy(args: argparse.Namespace) -> dict:
 
 
 def _policy_table(doc: dict) -> str:
-    decisions = doc["decisions"]
-    width = max([len("app_name")] + [len(d["app_name"]) for d in decisions]) + 2
-    lines = [
-        f"{'app_name':<{width}}{'default':<15}{'reverted':<10}"
-        f"{'perf_loss':>10}{'energy_saving':>15}{'weight':>8}"
-    ]
-    for d in decisions:
-        lines.append(
-            f"{d['app_name']:<{width}}{d['default_setting']:<15}"
-            f"{('yes' if d['reverted'] else 'no'):<10}"
-            f"{_ratio(d['perf_loss']):>10}{_ratio(d['energy_saving']):>15}"
-            f"{_ratio(d['weight']):>8}"
-        )
-    lines.append("")
-    for key in ("fleet_power_ratio", "fleet_throughput_ratio"):
-        lines.append(f"{key:<24}{_ratio(doc[key])}")
-    return "\n".join(lines)
+    spec = [("app_name", "<", None), ("default", "<", 15), ("reverted", "<", 10),
+            ("perf_loss", ">", 10), ("energy_saving", ">", 15), ("weight", ">", 8)]
+    rows = [{**d, "default": d["default_setting"]} for d in doc["decisions"]]
+    ratios = [(key, doc[key]) for key in ("fleet_power_ratio", "fleet_throughput_ratio")]
+    return _columns(spec, rows) + "\n\n" + _kv_table(ratios)
 
 
 def _window_doc(stats) -> dict:
@@ -177,21 +179,13 @@ def _cmd_telemetry(args: argparse.Namespace) -> dict:
 
 
 def _telemetry_table(doc: dict) -> str:
-    pairs = [("change_time", doc["change_time"])]
-    if "score" in doc:
-        pairs.append(("score", _ratio(doc["score"])))
-    pairs.extend(
-        [
-            ("before_samples", str(doc["before"]["samples"])),
-            ("before_mean_kw", _kw(doc["before"]["mean_kw"])),
-            ("before_stddev_kw", _kw(doc["before"]["stddev_kw"])),
-            ("after_samples", str(doc["after"]["samples"])),
-            ("after_mean_kw", _kw(doc["after"]["mean_kw"])),
-            ("after_stddev_kw", _kw(doc["after"]["stddev_kw"])),
-            ("delta_kw", _kw(doc["delta_kw"])),
-            ("pct_change", _pct(doc["pct_change"])),
-        ]
-    )
+    """The document with each window shown as its count, mean and deviation."""
+    pairs = []
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            pairs += [(f"{key}_{k}", value[k]) for k in ("samples", "mean_kw", "stddev_kw")]
+        else:
+            pairs.append((key, value))
     return _kv_table(pairs)
 
 
@@ -227,52 +221,44 @@ def _cmd_emissions(args: argparse.Namespace) -> dict:
     }
 
 
+def _scope3_text(emissions: dict) -> str:
+    """The scope-3 cell, with a note when no embodied emissions were given."""
+    text = _cell("scope3_kg", emissions["scope3_kg"])
+    return text + " (embodied unset)" if emissions["scope3_unset"] else text
+
+
 def _emissions_table(doc: dict) -> str:
-    """The document with its numbers to 1 decimal and the scope-3 flag as a note."""
-    text = {
-        key: value if isinstance(value, str) else _kw(value)
-        for key, value in doc.items()
-        if key != "scope3_unset"
-    }
-    if doc["scope3_unset"]:
-        text["scope3_kg"] += " (embodied unset)"
-    return _kv_table(list(text.items()))
+    """The document with the scope-3 flag as a note on its cell."""
+    shown = {**doc, "scope3_kg": _scope3_text(doc)}
+    del shown["scope3_unset"]
+    return _kv_table(list(shown.items()))
+
+
+def _reverted(run: dict) -> int:
+    return sum(1 for d in run["decisions"] if d["reverted"])
 
 
 def _result_table(doc: dict) -> str:
-    reverted = sum(1 for d in doc["decisions"] if d["reverted"])
     emissions = doc["emissions"]
-    scope3_text = _kw(emissions["scope3_kg"])
-    if emissions["scope3_unset"]:
-        scope3_text += " (embodied unset)"
     pairs = [
         ("scenario", doc["name"]),
-        ("mean_power_kw", _kw(doc["mean_power_kw"])),
-        ("energy_kwh", _kw(doc["energy_kwh"])),
-        ("duration_hours", _kw(doc["duration_hours"])),
-        ("scope2_kg", _kw(emissions["scope2_kg"])),
-        ("scope3_kg", scope3_text),
-        ("total_emissions_kg", _kw(emissions["total_kg"])),
-        ("throughput_index", _ratio(doc["throughput_index"])),
-        ("reverted_apps", f"{reverted}/{len(doc['decisions'])}"),
+        ("mean_power_kw", doc["mean_power_kw"]),
+        ("energy_kwh", doc["energy_kwh"]),
+        ("duration_hours", doc["duration_hours"]),
+        ("scope2_kg", emissions["scope2_kg"]),
+        ("scope3_kg", _scope3_text(emissions)),
+        ("total_emissions_kg", emissions["total_kg"]),
+        ("throughput_index", doc["throughput_index"]),
+        ("reverted_apps", f"{_reverted(doc)}/{len(doc['decisions'])}"),
     ]
     breakdown = _breakdown_table(doc["per_component"], doc["mean_power_kw"])
     return _kv_table(pairs) + "\n\n" + breakdown
 
 
 def _sweep_table(runs: list[dict]) -> str:
-    lines = [
-        f"{'threshold':>9}{'mean_power_kw':>15}{'energy_kwh':>13}"
-        f"{'throughput_index':>18}{'reverted':>10}"
-    ]
-    for run in runs:
-        reverted = sum(1 for d in run["decisions"] if d["reverted"])
-        lines.append(
-            f"{_ratio(run['threshold']):>9}{_kw(run['mean_power_kw']):>15}"
-            f"{_kw(run['energy_kwh']):>13}{_ratio(run['throughput_index']):>18}"
-            f"{reverted:>10}"
-        )
-    return "\n".join(lines)
+    spec = [("threshold", ">", 9), ("mean_power_kw", ">", 15), ("energy_kwh", ">", 13),
+            ("throughput_index", ">", 18), ("reverted", ">", 10)]
+    return _columns(spec, [{**run, "reverted": _reverted(run)} for run in runs])
 
 
 def _cmd_simulate(args: argparse.Namespace) -> dict:
@@ -403,12 +389,9 @@ def main(argv=None) -> int:
             print(json.dumps(doc, indent=2, allow_nan=False))
         else:
             print(args.table(doc))
-    except (DataFormatError, OSError) as exc:
+    except (DataFormatError, OSError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, DomainError) else 2
     return 0
 
 

@@ -4,13 +4,14 @@ revert-threshold rule that picks each application's default CPU frequency."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
 from .datafiles import check_object, csv_records, number
-from .errors import DataFormatError, DomainError
+from .errors import DataFormatError, DomainError, count_fault
 
 
 class FrequencySetting(Enum):
@@ -46,8 +47,9 @@ class AppBenchmark:
     def __post_init__(self) -> None:
         if not self.app_name:
             raise DomainError("benchmark app_name must be non-empty")
-        if not isinstance(self.nodes, int) or self.nodes < 1:
-            raise DomainError(f"benchmark {self.app_name!r}: nodes must be >= 1, got {self.nodes!r}")
+        if not isinstance(self.nodes, int) or not 1 <= self.nodes <= sys.float_info.max:
+            fault = count_fault("nodes", self.nodes, "must be >= 1")
+            raise DomainError(f"benchmark {self.app_name!r}: {fault}")
         if not (math.isfinite(self.perf_ratio) and self.perf_ratio > 0):
             raise DomainError(f"benchmark {self.app_name!r}: perf_ratio must be > 0, got {self.perf_ratio}")
         if not (math.isfinite(self.energy_ratio) and self.energy_ratio > 0):
@@ -238,10 +240,14 @@ def load_benchmark_table(path: str | Path) -> list[AppBenchmark]:
         app_name, nodes_text, intervention_text, perf_text, energy_text = row
         try:
             nodes = int(nodes_text)
-        except ValueError:
-            raise DataFormatError(
-                f"{path}: line {line}: nodes is not an integer: {nodes_text!r}"
-            ) from None
+        except ValueError as exc:
+            # Python refuses a literal past its int-string digit limit, which
+            # is no reason to write out the cell
+            reason = f"nodes is not an integer: {nodes_text!r}"
+            if str(exc).startswith("Exceeds the limit"):
+                limit = sys.get_int_max_str_digits()
+                reason = f"nodes exceeds Python's int-string digit limit of {limit} digits"
+            raise DataFormatError(f"{path}: line {line}: {reason}") from None
         try:
             intervention = Intervention(intervention_text)
         except ValueError:

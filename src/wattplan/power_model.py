@@ -15,7 +15,7 @@ from enum import Enum
 from pathlib import Path
 
 from .datafiles import check_fields, integer, number, read_json, string, to_json
-from .errors import DataFormatError, DomainError
+from .errors import DataFormatError, DomainError, count_fault
 
 
 class LoadResponse(Enum):
@@ -50,12 +50,9 @@ class ComponentSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise DomainError("component name must be non-empty")
-        if not isinstance(self.count, int) or self.count < 1:
-            raise DomainError(
-                f"component {self.name!r}: count must be a positive integer, got {self.count!r}"
-            )
-        if self.count > sys.float_info.max:
-            raise DomainError(f"component {self.name!r}: count exceeds the float range")
+        if not isinstance(self.count, int) or not 1 <= self.count <= sys.float_info.max:
+            fault = count_fault("count", self.count, "must be a positive integer")
+            raise DomainError(f"component {self.name!r}: {fault}")
         if not (math.isfinite(self.idle_kw_per_unit) and self.idle_kw_per_unit >= 0):
             raise DomainError(
                 f"component {self.name!r}: idle draw must be >= 0 kW, got {self.idle_kw_per_unit}"
@@ -111,7 +108,7 @@ class PowerBreakdown:
     total_kw: float
 
 
-def _check_utilization(utilization: float) -> None:
+def check_utilization(utilization: float) -> None:
     if not 0.0 <= utilization <= 1.0:
         raise DomainError(f"utilization must be within [0, 1], got {utilization}")
 
@@ -129,7 +126,7 @@ def component_power(spec: ComponentSpec, utilization: float) -> float:
     LINEAR components draw count * (idle + u * (loaded - idle)); CONSTANT
     components draw count * idle at every utilization.
     """
-    _check_utilization(utilization)
+    check_utilization(utilization)
     return _draw(spec, utilization)
 
 
@@ -140,7 +137,7 @@ def system_power(model: SystemModel, utilization: float) -> PowerBreakdown:
     components rejects it too; finite draws whose total passes the float range
     raise a DomainError. The draws are added in component order, as sum() did
     before Python 3.12, so that every Python gives the same total."""
-    _check_utilization(utilization)
+    check_utilization(utilization)
     per_component = {}
     total_kw = 0
     for c in model.components:

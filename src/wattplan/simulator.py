@@ -32,6 +32,7 @@ from .power_model import (
     PowerBreakdown,
     SystemModel,
     apply_power_factor,
+    check_utilization,
     load_model,
     system_power,
 )
@@ -65,8 +66,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if type(self.benchmarks) is not BenchmarkTable:
             object.__setattr__(self, "benchmarks", BenchmarkTable(self.benchmarks))
-        if not 0.0 <= self.utilization <= 1.0:
-            raise DomainError(f"utilization must be within [0, 1], got {self.utilization}")
+        check_utilization(self.utilization)
         if not (math.isfinite(self.duration_hours) and self.duration_hours > 0):
             raise DomainError(f"duration must be > 0 hours, got {self.duration_hours}")
         if not (math.isfinite(self.bios_factor) and self.bios_factor > 0):

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .datafiles import timed_values
-from .errors import DataFormatError, DomainError
+from .errors import DataFormatError, DomainError, count_fault
 from .timestamps import aware, format_timestamp
 
 DEFAULT_SERIES_START = datetime(2022, 1, 1, tzinfo=timezone.utc)
@@ -185,10 +185,8 @@ class SeriesSegment:
                 f"segment duration must be at most {_MAX_SEGMENT_HOURS:.0f} hours, "
                 f"got {self.duration_hours}"
             )
-        if not isinstance(self.n_samples, int) or self.n_samples < 1:
-            raise DomainError(f"segment n_samples must be >= 1, got {self.n_samples!r}")
-        if self.n_samples > sys.float_info.max:
-            raise DomainError("segment n_samples exceeds the float range")
+        if not isinstance(self.n_samples, int) or not 1 <= self.n_samples <= sys.float_info.max:
+            raise DomainError(f"segment {count_fault('n_samples', self.n_samples, 'must be >= 1')}")
         if not (math.isfinite(self.mean_kw) and self.mean_kw >= 0):
             raise DomainError(f"segment mean must be finite and >= 0 kW, got {self.mean_kw}")
         if not (math.isfinite(self.noise_sd_kw) and self.noise_sd_kw >= 0):

@@ -935,6 +935,32 @@ def test_a_json_integer_past_the_digit_limit_is_a_format_error(capsys, tmp_path,
     assert err.startswith(f"error: {path}: invalid JSON: Exceeds the limit (4300")
 
 
+# a nodes cell past the digit limit is named by the limit, not written out; one
+# past the float range but within the limit is a domain error
+@pytest.mark.parametrize(
+    "nodes,exit_code,message",
+    [
+        (HUGE_INTEGER, 2,
+         "{path}: line 2: nodes exceeds Python's int-string digit limit of {limit} digits"),
+        ("9" * 400, 1, "benchmark 'CASTEP Al Slab': nodes exceeds the float range"),
+    ],
+    ids=["5000-digits", "400-digits"],
+)
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_a_nodes_cell_past_the_float_range_is_not_written_out(
+    capsys, tmp_path, fmt, nodes, exit_code, message
+):
+    lines = data_path("table4_freq.csv").read_text().splitlines(keepends=True)
+    app, _, rest = lines[1].split(",", 2)
+    lines[1] = f"{app},{nodes},{rest}"
+    path = tmp_path / "table.csv"
+    path.write_text("".join(lines))
+    code, out, err = _run(capsys, "policy", str(path), "--format", fmt)
+    _assert_rejected(code, out, err, exit_code)
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: {message.format(path=path, limit=limit)}\n"
+
+
 # -- numpy stays out of the subcommands that use no series ---------------------
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -1055,3 +1081,121 @@ def test_each_planning_call_loads_only_the_modules_it_runs(planning_cycle, label
     assert proc.stdout == (PERFBENCH / "golden" / f"{label}.out").read_bytes()
     loaded = set(proc.stderr.decode().split())
     assert loaded == {f"wattplan.{module}" for module in CLI_MODULES | RUN_MODULES[label]}
+
+
+# -- the tables that no golden file pins -----------------------------------------
+
+# each call's argv, with the inputs that table_inputs writes named bare
+PINNED_TABLES = {
+    "policy": ["policy", "builtin:table4_freq.csv"],
+    "policy-weights": ["policy", "builtin:table4_freq.csv", "--weights", "weights.json"],
+    "sweep": [
+        "simulate", "builtin:stacked_scenario.json", "--sweep", "0.0,0.05,0.10,0.15,0.30,1.0",
+    ],
+    "telemetry-detect": ["telemetry", "full.csv", "--detect", "--gap", "24"],
+    "telemetry-change-time": ["telemetry", "bios.csv", "--change-time", "2022-04-21T20:00:00Z"],
+    "emissions-profile": [
+        "emissions", "--profile", "profile.csv", "--power-kw", "3000", "--hours", "1.5",
+        "--embodied", "embodied.json",
+    ],
+    "power-empty-model": ["power", "empty.json", "-u", "0.5"],
+}
+PINNED_OUTPUT = {
+    "policy": (
+        "app_name              default        reverted   perf_loss  energy_saving  weight\n"
+        "CASTEP Al Slab        2.0GHz         no            0.0700         0.1200  0.1429\n"
+        "CP2K H2O 2048         2.0GHz         no            0.0900         0.0700  0.1429\n"
+        "GROMACS 1400k         2.25GHz+turbo  yes           0.1700         0.0800  0.1429\n"
+        "LAMMPS Ethanol        2.25GHz+turbo  yes           0.2600         0.0800  0.1429\n"
+        "Nektar++ TGV 128 DoF  2.25GHz+turbo  yes           0.2000         0.2000  0.1429\n"
+        "ONETEP hBN-BP-hBN     2.0GHz         no            0.0800         0.1800  0.1429\n"
+        "VASP CdTe             2.0GHz         no            0.0500         0.1200  0.1429\n"
+        "\n"
+        "fleet_power_ratio       0.8936\n"
+        "fleet_throughput_ratio  0.9586\n"
+    ),
+    "policy-weights": (
+        "app_name        default        reverted   perf_loss  energy_saving  weight\n"
+        "CASTEP Al Slab  2.0GHz         no            0.0700         0.1200  0.7500\n"
+        "GROMACS 1400k   2.25GHz+turbo  yes           0.1700         0.0800  0.2500\n"
+        "\n"
+        "fleet_power_ratio       0.8638\n"
+        "fleet_throughput_ratio  0.9475\n"
+    ),
+    "sweep": (
+        "threshold  mean_power_kw   energy_kwh  throughput_index  reverted\n"
+        "   0.0000         3198.3      76759.9            1.0000         7\n"
+        "   0.0500         3198.3      76759.9            1.0000         7\n"
+        "   0.1000         3048.1      73155.2            0.9586         3\n"
+        "   0.1500         3048.1      73155.2            0.9586         3\n"
+        "   0.3000         2863.5      68724.5            0.8686         0\n"
+        "   1.0000         2863.5      68724.5            0.8686         0\n"
+    ),
+    "telemetry-detect": (
+        "change_time       2022-07-29T00:00:00Z\n"
+        "score             0.7629\n"
+        "before_samples    5736\n"
+        "before_mean_kw    3115.6\n"
+        "before_stddev_kw  108.3\n"
+        "after_samples     696\n"
+        "after_mean_kw     2530.8\n"
+        "after_stddev_kw   24.2\n"
+        "delta_kw          -584.8\n"
+        "pct_change        -18.8%\n"
+    ),
+    "telemetry-change-time": (
+        "change_time       2022-04-21T20:00:00Z\n"
+        "before_samples    500\n"
+        "before_mean_kw    3220.0\n"
+        "before_stddev_kw  19.2\n"
+        "after_samples     500\n"
+        "after_mean_kw     3010.0\n"
+        "after_stddev_kw   20.6\n"
+        "delta_kw          -210.0\n"
+        "pct_change        -6.5%\n"
+    ),
+    "emissions-profile": (
+        "mean_intensity_g_per_kwh  31.7\n"
+        "scenario                  balanced\n"
+        "objective                 balance_performance_and_energy\n"
+        "energy_kwh                4500.0\n"
+        "scope2_kg                 142.5\n"
+        "scope3_kg                 30.0\n"
+        "total_kg                  172.5\n"
+    ),
+    "power-empty-model": (
+        "component    power_kw\n"
+        "total             0.0\n"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def table_inputs(tmp_path_factory):
+    """A directory of the inputs that the pinned table calls read."""
+    work = tmp_path_factory.mktemp("tables")
+    for recipe, name in [("recipe_full_timeline", "full.csv"), ("recipe_bios_step", "bios.csv")]:
+        assert main(["synth", f"builtin:{recipe}.json", "-o", str(work / name)]) == 0
+    (work / "weights.json").write_text('{"CASTEP Al Slab": 0.75, "GROMACS 1400k": 0.25}')
+    (work / "profile.csv").write_text(
+        "timestamp,intensity_g_per_kwh\n"
+        "2022-01-01T00:00:00Z,20\n"
+        "2022-01-01T00:30:00Z,40\n"
+        "2022-01-01T01:00:00Z,35\n"
+    )
+    (work / "embodied.json").write_text(
+        '{"total_kgco2e": 1000000.0, "service_lifetime_hours": 50000.0}'
+    )
+    (work / "empty.json").write_text(
+        '{"name": "empty", "compute_component": null, "components": []}'
+    )
+    return work
+
+
+@pytest.mark.parametrize("label", PINNED_TABLES)
+def test_tables_without_a_golden_file_keep_their_bytes(capsys, table_inputs, label):
+    argv = [
+        str(table_inputs / arg) if (table_inputs / arg).is_file() else arg
+        for arg in PINNED_TABLES[label]
+    ]
+    assert _run(capsys, *argv) == (0, PINNED_OUTPUT[label], "")

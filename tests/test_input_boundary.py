@@ -165,6 +165,23 @@ def test_counts_past_the_float_range_are_domain_errors(count):
         SeriesSegment(1.0, count, 1.0)
 
 
+# a negative count past the digit limit, which no message may repr either
+def test_negative_counts_past_the_float_range_are_domain_errors():
+    count = -(10**5000)
+    with pytest.raises(DomainError, match="^component 'n': count exceeds the float range$"):
+        ComponentSpec("n", count, 0.5, 1.0)
+    with pytest.raises(DomainError, match="^segment n_samples exceeds the float range$"):
+        SeriesSegment(1.0, count, 1.0)
+    with pytest.raises(DomainError, match="^benchmark 'a': nodes exceeds the float range$"):
+        AppBenchmark("a", count, Intervention.FREQ_CAP_2000, 0.9, 0.9)
+
+
+@pytest.mark.parametrize("nodes", [10**400, 10**5000], ids=["401-digits", "5001-digits"])
+def test_benchmark_nodes_past_the_float_range_are_domain_errors(nodes):
+    with pytest.raises(DomainError, match="^benchmark 'a': nodes exceeds the float range$"):
+        AppBenchmark("a", nodes, Intervention.FREQ_CAP_2000, 0.9, 0.9)
+
+
 @pytest.mark.parametrize("value", [NAN, INF, -INF])
 def test_fleet_ratios_rejects_a_non_finite_weight(value):
     benchmarks = [AppBenchmark("a", 1, Intervention.FREQ_CAP_2000, 0.9, 0.9)]
