@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .datafiles import check_fields, integer, number, read_json, resolve_input_path, string
 from .datafiles import to_json
-from .errors import DataFormatError, DomainError
+from .errors import DataFormatError, DomainError, check_nonnegative
 from .timestamps import parse_timestamp
 
 
@@ -190,7 +190,7 @@ def _telemetry_table(doc: dict) -> str:
 
 
 def _cmd_emissions(args: argparse.Namespace) -> dict:
-    from .emissions import CarbonIntensityProfile, check_mean_power, classify_scenario
+    from .emissions import CarbonIntensityProfile, classify_scenario
     from .emissions import embodied_from_dict, priced_emissions, recommended_objective
     from .emissions import run_intensity
 
@@ -204,7 +204,7 @@ def _cmd_emissions(args: argparse.Namespace) -> dict:
         embodied = embodied_from_dict(read_json(path), str(path))
     energy_kwh = args.power_kw * args.hours
     # the power is named first when several inputs are out of range
-    check_mean_power(args.power_kw)
+    check_nonnegative(args.power_kw, "mean power", "kW")
     mean_intensity = run_intensity(profile, args.hours)
     breakdown = priced_emissions(args.power_kw, args.hours, mean_intensity, embodied)
     scenario = classify_scenario(mean_intensity)

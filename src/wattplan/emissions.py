@@ -14,7 +14,7 @@ from itertools import pairwise
 from pathlib import Path
 
 from .datafiles import check_fields, number, timed_values
-from .errors import DataFormatError, DomainError
+from .errors import DataFormatError, DomainError, check_nonnegative, check_positive
 from .timestamps import aware, format_timestamp
 
 # Carbon-intensity bands (gCO2/kWh) separating the three emissions regimes.
@@ -47,12 +47,8 @@ class EmbodiedEmissions:
     service_lifetime_hours: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.total_kgco2e) and self.total_kgco2e >= 0):
-            raise DomainError(f"embodied emissions must be >= 0 kg, got {self.total_kgco2e}")
-        if not (math.isfinite(self.service_lifetime_hours) and self.service_lifetime_hours > 0):
-            raise DomainError(
-                f"service lifetime must be > 0 hours, got {self.service_lifetime_hours}"
-            )
+        check_nonnegative(self.total_kgco2e, "embodied emissions", "kg")
+        check_positive(self.service_lifetime_hours, "service lifetime", "hours")
 
 
 def embodied_from_dict(doc, where: str) -> EmbodiedEmissions:
@@ -93,10 +89,7 @@ class CarbonIntensityProfile:
         if (self.constant_g_per_kwh is None) == (self.series is None):
             raise DomainError("profile must be either constant or a series, not both")
         if self.constant_g_per_kwh is not None:
-            if not (math.isfinite(self.constant_g_per_kwh) and self.constant_g_per_kwh >= 0):
-                raise DomainError(
-                    f"carbon intensity must be >= 0 g/kWh, got {self.constant_g_per_kwh}"
-                )
+            check_nonnegative(self.constant_g_per_kwh, "carbon intensity", "g/kWh")
             return
         object.__setattr__(self, "series", tuple(self.series))
         if not self.series:
@@ -115,9 +108,13 @@ class CarbonIntensityProfile:
             raise DomainError(
                 f"series timestamps must be strictly increasing: {times[i]} then {times[i + 1]}"
             )
-        if not (all(map(math.isfinite, values)) and min(values) >= 0):
-            value = next(v for v in values if not (math.isfinite(v) and v >= 0))
-            raise DomainError(f"carbon intensity must be >= 0 g/kWh, got {value}")
+        try:
+            valid = all(map(math.isfinite, values)) and min(values) >= 0
+        except OverflowError:  # an int past the float range, which the rule names
+            valid = False
+        if not valid:
+            for value in values:
+                check_nonnegative(value, "carbon intensity", "g/kWh")
 
     @classmethod
     def constant(cls, g_per_kwh: float) -> "CarbonIntensityProfile":
@@ -224,8 +221,7 @@ def classify_scenario(intensity_g_per_kwh: float) -> EmissionsScenario:
     Below 30 g/kWh embodied emissions dominate; above 100 g/kWh operational
     emissions dominate; the closed band in between is balanced.
     """
-    if not (math.isfinite(intensity_g_per_kwh) and intensity_g_per_kwh >= 0):
-        raise DomainError(f"carbon intensity must be >= 0 g/kWh, got {intensity_g_per_kwh}")
+    check_nonnegative(intensity_g_per_kwh, "carbon intensity", "g/kWh")
     if intensity_g_per_kwh < LOW_INTENSITY_CEILING:
         return EmissionsScenario.SCOPE3_DOMINATED
     if intensity_g_per_kwh <= HIGH_INTENSITY_FLOOR:
@@ -259,8 +255,7 @@ def scope2_emissions(
         energy_kwh_by_interval = list(energy_kwh_by_interval)  # read twice on overflow
     total_g = 0.0
     for (start, end), energy_kwh in energy_kwh_by_interval:
-        if not (math.isfinite(energy_kwh) and energy_kwh >= 0):
-            raise DomainError(f"interval energy must be >= 0 kWh, got {energy_kwh}")
+        check_nonnegative(energy_kwh, "interval energy", "kWh")
         total_g += energy_kwh * profile.mean_intensity(start, end)
     if math.isfinite(total_g):
         return total_g / 1000.0
@@ -280,8 +275,7 @@ def scope2_emissions(
 
 def amortized_scope3(embodied: EmbodiedEmissions, duration_hours: float) -> float:
     """Linear share of the embodied emissions attributable to a duration."""
-    if not (math.isfinite(duration_hours) and duration_hours >= 0):
-        raise DomainError(f"duration must be >= 0 hours, got {duration_hours}")
+    check_nonnegative(duration_hours, "duration", "hours")
     share = embodied.total_kgco2e * duration_hours / embodied.service_lifetime_hours
     if math.isinf(share):
         # the product passed the float range before the division
@@ -300,8 +294,7 @@ def run_intensity(
 
     A run shorter than datetime's 1 µs step holds the intensity at its start.
     """
-    if not (math.isfinite(duration_hours) and duration_hours >= 0):
-        raise DomainError(f"duration must be >= 0 hours, got {duration_hours}")
+    check_nonnegative(duration_hours, "duration", "hours")
     anchor = aware(start) if start is not None else (profile.start_time() or _EPOCH)
     try:
         end = anchor + timedelta(hours=duration_hours)
@@ -315,11 +308,6 @@ def run_intensity(
     return profile.mean_intensity(anchor, end)
 
 
-def check_mean_power(mean_power_kw: float) -> None:
-    if not (math.isfinite(mean_power_kw) and mean_power_kw >= 0):
-        raise DomainError(f"mean power must be >= 0 kW, got {mean_power_kw}")
-
-
 def priced_emissions(
     mean_power_kw: float,
     duration_hours: float,
@@ -330,14 +318,13 @@ def priced_emissions(
     its energy priced at one mean intensity in g/kWh. With `embodied=None` the
     result is scope-2 only: scope-3 is exactly 0.0 and the total equals scope-2.
     The mean power and the duration are taken as checked; a DomainError names
-    the inputs when the intensity is negative or NaN, or when the intensity, the
-    energy or the total passes the float range."""
-    if not intensity >= 0:
-        raise DomainError(f"carbon intensity must be >= 0 g/kWh, got {intensity}")
-    if math.isinf(intensity):
+    the inputs when the intensity is negative, NaN or an integer past the float
+    range, or when the intensity, the energy or the total passes the float range."""
+    if intensity == math.inf:
         raise DomainError(
             f"the run's mean carbon intensity exceeds the float range, got {intensity} g/kWh"
         )
+    check_nonnegative(intensity, "carbon intensity", "g/kWh")
     energy_kwh = mean_power_kw * duration_hours
     if math.isinf(energy_kwh):
         raise DomainError(
@@ -369,6 +356,6 @@ def lifetime_emissions(
 ) -> EmissionsBreakdown:
     """priced_emissions at run_intensity(profile, duration_hours, start); the
     mean power is checked before the run's intensity is looked up."""
-    check_mean_power(mean_power_kw)
+    check_nonnegative(mean_power_kw, "mean power", "kW")
     intensity = run_intensity(profile, duration_hours, start)
     return priced_emissions(mean_power_kw, duration_hours, intensity, embodied)

@@ -3,7 +3,6 @@ revert-threshold rule that picks each application's default CPU frequency."""
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -11,7 +10,8 @@ from functools import cached_property
 from pathlib import Path
 
 from .datafiles import check_object, csv_records, number
-from .errors import DataFormatError, DomainError, count_fault
+from .errors import DataFormatError, DomainError
+from .errors import check_count, check_fraction, check_nonnegative, check_positive
 
 
 class FrequencySetting(Enum):
@@ -47,15 +47,9 @@ class AppBenchmark:
     def __post_init__(self) -> None:
         if not self.app_name:
             raise DomainError("benchmark app_name must be non-empty")
-        if not isinstance(self.nodes, int) or not 1 <= self.nodes <= sys.float_info.max:
-            fault = count_fault("nodes", self.nodes, "must be >= 1")
-            raise DomainError(f"benchmark {self.app_name!r}: {fault}")
-        if not (math.isfinite(self.perf_ratio) and self.perf_ratio > 0):
-            raise DomainError(f"benchmark {self.app_name!r}: perf_ratio must be > 0, got {self.perf_ratio}")
-        if not (math.isfinite(self.energy_ratio) and self.energy_ratio > 0):
-            raise DomainError(
-                f"benchmark {self.app_name!r}: energy_ratio must be > 0, got {self.energy_ratio}"
-            )
+        check_count(self.nodes, "benchmark {!r}: nodes", self.app_name)
+        check_positive(self.perf_ratio, "benchmark {!r}: perf_ratio", "", self.app_name)
+        check_positive(self.energy_ratio, "benchmark {!r}: energy_ratio", "", self.app_name)
         perf_loss = 1.0 - self.perf_ratio
         energy_saving = 1.0 - self.energy_ratio
         object.__setattr__(self, "_decisions", (
@@ -74,10 +68,7 @@ class PolicyRule:
     perf_loss_threshold: float = 0.10
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.perf_loss_threshold <= 1.0:
-            raise DomainError(
-                f"perf_loss_threshold must be within [0, 1], got {self.perf_loss_threshold}"
-            )
+        check_fraction(self.perf_loss_threshold, "perf_loss_threshold")
 
 
 @dataclass(frozen=True)
@@ -89,8 +80,7 @@ class JobMix:
     def __post_init__(self) -> None:
         total = 0.0
         for app, weight in self.weights.items():
-            if not (math.isfinite(weight) and weight >= 0):
-                raise DomainError(f"mix weight for {app!r} must be >= 0, got {weight}")
+            check_nonnegative(weight, "mix weight for {!r}", "", app)
             total += weight
         if abs(total - 1.0) > 1e-9:
             raise DomainError(f"mix weights must sum to 1 within 1e-9, got {total!r}")
@@ -231,9 +221,9 @@ def load_benchmark_table(path: str | Path) -> list[AppBenchmark]:
     """Load benchmark records from CSV.
 
     Header must be app_name,nodes,intervention,perf_ratio,energy_ratio with
-    intervention one of bios_determinism or freq_cap_2000. Malformed rows are
-    reported with their line number; duplicate (app, intervention) pairs are
-    rejected.
+    intervention one of bios_determinism or freq_cap_2000. Malformed rows, and
+    rows whose values AppBenchmark refuses, are reported with their line
+    number; duplicate (app, intervention) pairs are rejected.
     """
     records: list[AppBenchmark] = []
     for line, row in csv_records(path, _HEADER):
@@ -261,15 +251,10 @@ def load_benchmark_table(path: str | Path) -> list[AppBenchmark]:
             raise DataFormatError(
                 f"{path}: line {line}: ratios must be numbers: {perf_text!r}, {energy_text!r}"
             ) from None
-        records.append(
-            AppBenchmark(
-                app_name=app_name,
-                nodes=nodes,
-                intervention=intervention,
-                perf_ratio=perf_ratio,
-                energy_ratio=energy_ratio,
-            )
-        )
+        try:
+            records.append(AppBenchmark(app_name, nodes, intervention, perf_ratio, energy_ratio))
+        except DomainError as exc:
+            raise DomainError(f"{path}: line {line}: {exc}") from None
     seen: set[tuple[str, Intervention]] = set()
     for record in records:
         key = (record.app_name, record.intervention)

@@ -9,13 +9,13 @@ frequency caps) enter as multiplicative factors on a single component's draw.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 from .datafiles import check_fields, integer, number, read_json, string, to_json
-from .errors import DataFormatError, DomainError, count_fault
+from .errors import DataFormatError, DomainError
+from .errors import check_count, check_finite, check_fraction, check_nonnegative
 
 
 class LoadResponse(Enum):
@@ -50,18 +50,9 @@ class ComponentSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise DomainError("component name must be non-empty")
-        if not isinstance(self.count, int) or not 1 <= self.count <= sys.float_info.max:
-            fault = count_fault("count", self.count, "must be a positive integer")
-            raise DomainError(f"component {self.name!r}: {fault}")
-        if not (math.isfinite(self.idle_kw_per_unit) and self.idle_kw_per_unit >= 0):
-            raise DomainError(
-                f"component {self.name!r}: idle draw must be >= 0 kW, got {self.idle_kw_per_unit}"
-            )
-        if not math.isfinite(self.loaded_kw_per_unit):
-            raise DomainError(
-                f"component {self.name!r}: loaded draw must be finite, "
-                f"got {self.loaded_kw_per_unit}"
-            )
+        check_count(self.count, "component {!r}: count", self.name)
+        check_nonnegative(self.idle_kw_per_unit, "component {!r}: idle draw", "kW", self.name)
+        check_finite(self.loaded_kw_per_unit, "component {!r}: loaded draw", self.name)
         if self.loaded_kw_per_unit < self.idle_kw_per_unit:
             raise DomainError(
                 f"component {self.name!r}: loaded draw {self.loaded_kw_per_unit} kW "
@@ -108,11 +99,6 @@ class PowerBreakdown:
     total_kw: float
 
 
-def check_utilization(utilization: float) -> None:
-    if not 0.0 <= utilization <= 1.0:
-        raise DomainError(f"utilization must be within [0, 1], got {utilization}")
-
-
 def _draw(spec: ComponentSpec, utilization: float) -> float:
     if spec.load_response is LoadResponse.CONSTANT:
         return spec.count * spec.idle_kw_per_unit
@@ -126,7 +112,7 @@ def component_power(spec: ComponentSpec, utilization: float) -> float:
     LINEAR components draw count * (idle + u * (loaded - idle)); CONSTANT
     components draw count * idle at every utilization.
     """
-    check_utilization(utilization)
+    check_fraction(utilization, "utilization")
     return _draw(spec, utilization)
 
 
@@ -137,7 +123,7 @@ def system_power(model: SystemModel, utilization: float) -> PowerBreakdown:
     components rejects it too; finite draws whose total passes the float range
     raise a DomainError. The draws are added in component order, as sum() did
     before Python 3.12, so that every Python gives the same total."""
-    check_utilization(utilization)
+    check_fraction(utilization, "utilization")
     per_component = {}
     total_kw = 0
     for c in model.components:
@@ -163,8 +149,7 @@ def apply_power_factor(
     the model's names are the input's, which passed SystemModel's checks, so
     they are not checked again.
     """
-    if not (math.isfinite(factor) and factor >= 0):
-        raise DomainError(f"power factor must be >= 0, got {factor}")
+    check_nonnegative(factor, "power factor")
     spec = model.component(component)
     idle = spec.idle_kw_per_unit
     if mode is FactorMode.WHOLE_DRAW:

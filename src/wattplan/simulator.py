@@ -4,7 +4,6 @@ throughput index out, plus threshold sweeps over the revert rule."""
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -17,7 +16,7 @@ from .emissions import (
     embodied_from_dict,
     lifetime_emissions,
 )
-from .errors import DataFormatError, DomainError
+from .errors import DataFormatError, DomainError, check_fraction, check_positive
 from .freq_policy import (
     AppBenchmark,
     BenchmarkTable,
@@ -32,7 +31,6 @@ from .power_model import (
     PowerBreakdown,
     SystemModel,
     apply_power_factor,
-    check_utilization,
     load_model,
     system_power,
 )
@@ -66,11 +64,9 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if type(self.benchmarks) is not BenchmarkTable:
             object.__setattr__(self, "benchmarks", BenchmarkTable(self.benchmarks))
-        check_utilization(self.utilization)
-        if not (math.isfinite(self.duration_hours) and self.duration_hours > 0):
-            raise DomainError(f"duration must be > 0 hours, got {self.duration_hours}")
-        if not (math.isfinite(self.bios_factor) and self.bios_factor > 0):
-            raise DomainError(f"bios_factor must be > 0, got {self.bios_factor}")
+        check_fraction(self.utilization, "utilization")
+        check_positive(self.duration_hours, "duration", "hours")
+        check_positive(self.bios_factor, "bios_factor")
 
 
 @dataclass(frozen=True)
@@ -134,8 +130,7 @@ def sweep_threshold(config: ScenarioConfig, thresholds) -> list[tuple[float, Sce
     """
     thresholds = list(thresholds)
     for threshold in thresholds:
-        if not 0.0 <= threshold <= 1.0:
-            raise DomainError(f"threshold must be within [0, 1], got {threshold}")
+        check_fraction(threshold, "threshold")
     losses = config.benchmarks.freq_cap_losses
     by_count: dict[int, ScenarioResult] = {}
     results = []

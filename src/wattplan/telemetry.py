@@ -6,7 +6,6 @@ redistributable)."""
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
@@ -18,7 +17,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .datafiles import timed_values
-from .errors import DataFormatError, DomainError, count_fault
+from .errors import DataFormatError, DomainError
+from .errors import check_count, check_nonnegative, check_positive, refusal
 from .timestamps import aware, format_timestamp
 
 DEFAULT_SERIES_START = datetime(2022, 1, 1, tzinfo=timezone.utc)
@@ -176,23 +176,15 @@ class SeriesSegment:
     noise_sd_kw: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.duration_hours) and self.duration_hours > 0):
-            raise DomainError(
-                f"segment duration must be finite and > 0 hours, got {self.duration_hours}"
-            )
+        check_positive(self.duration_hours, "segment duration", "hours")
         if self.duration_hours > _MAX_SEGMENT_HOURS:
             raise DomainError(
                 f"segment duration must be at most {_MAX_SEGMENT_HOURS:.0f} hours, "
                 f"got {self.duration_hours}"
             )
-        if not isinstance(self.n_samples, int) or not 1 <= self.n_samples <= sys.float_info.max:
-            raise DomainError(f"segment {count_fault('n_samples', self.n_samples, 'must be >= 1')}")
-        if not (math.isfinite(self.mean_kw) and self.mean_kw >= 0):
-            raise DomainError(f"segment mean must be finite and >= 0 kW, got {self.mean_kw}")
-        if not (math.isfinite(self.noise_sd_kw) and self.noise_sd_kw >= 0):
-            raise DomainError(
-                f"segment noise sd must be finite and >= 0 kW, got {self.noise_sd_kw}"
-            )
+        check_count(self.n_samples, "segment n_samples")
+        check_nonnegative(self.mean_kw, "segment mean", "kW")
+        check_nonnegative(self.noise_sd_kw, "segment noise sd", "kW")
 
 
 def parse_series(path: str | Path) -> PowerSeries:
@@ -623,8 +615,7 @@ def intervention_impact(
     the series. A positive guard gap excludes a smeared transition period.
     """
     gap_hours = guard_gap / timedelta(hours=1)
-    if guard_gap < timedelta(0):
-        raise DomainError(f"guard gap must be >= 0 hours, got {gap_hours}")
+    check_nonnegative(gap_hours, "guard gap", "hours")
     if len(series) == 0:
         raise DomainError("series has no samples")
     change_time = aware(change_time)
@@ -723,8 +714,8 @@ def synth_series(
     segs = [s if isinstance(s, SeriesSegment) else SeriesSegment(*s) for s in segments]
     if not segs:
         raise DomainError("at least one segment is required")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    if seed < 0:  # a seed past the float range is no fault: numpy takes it
+        raise refusal(seed, "seed", ">= 0")
     rng = np.random.default_rng(seed)
     times: list[np.ndarray] = []
     values: list[np.ndarray] = []

@@ -936,23 +936,30 @@ def test_a_json_integer_past_the_digit_limit_is_a_format_error(capsys, tmp_path,
 
 
 # a nodes cell past the digit limit is named by the limit, not written out; one
-# past the float range but within the limit is a domain error
+# past the float range but within the limit is a domain error of its line, as
+# are ratios out of range
 @pytest.mark.parametrize(
-    "nodes,exit_code,message",
+    "column,cell,exit_code,message",
     [
-        (HUGE_INTEGER, 2,
+        (1, HUGE_INTEGER, 2,
          "{path}: line 2: nodes exceeds Python's int-string digit limit of {limit} digits"),
-        ("9" * 400, 1, "benchmark 'CASTEP Al Slab': nodes exceeds the float range"),
+        (1, "9" * 400, 1,
+         "{path}: line 2: benchmark 'CASTEP Al Slab': nodes exceeds the float range"),
+        (3, "-1", 1,
+         "{path}: line 2: benchmark 'CASTEP Al Slab': perf_ratio must be > 0, got -1.0"),
+        (4, "0", 1,
+         "{path}: line 2: benchmark 'CASTEP Al Slab': energy_ratio must be > 0, got 0.0"),
     ],
-    ids=["5000-digits", "400-digits"],
+    ids=["5000-digits", "400-digits", "perf-ratio-minus-one", "energy-ratio-zero"],
 )
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_a_nodes_cell_past_the_float_range_is_not_written_out(
-    capsys, tmp_path, fmt, nodes, exit_code, message
+    capsys, tmp_path, fmt, column, cell, exit_code, message
 ):
     lines = data_path("table4_freq.csv").read_text().splitlines(keepends=True)
-    app, _, rest = lines[1].split(",", 2)
-    lines[1] = f"{app},{nodes},{rest}"
+    cells = lines[1].rstrip("\n").split(",")
+    cells[column] = cell
+    lines[1] = ",".join(cells) + "\n"
     path = tmp_path / "table.csv"
     path.write_text("".join(lines))
     code, out, err = _run(capsys, "policy", str(path), "--format", fmt)
