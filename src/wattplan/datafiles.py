@@ -9,7 +9,10 @@ count, skips blank records and numbers each record by the physical line it
 starts on. The one cell conversion it owns is a series row, timed_values:
 a `timestamp,<value>` row of power or carbon intensity. Any other cell is
 left to its loader, and whether a value is in range to the loader or the
-dataclass it builds, which raises DomainError.
+dataclass it builds, which raises DomainError. A series file of plain
+`stamp,number` lines is first read column-wise, timed_columns, to the same
+stamps and values; every other file, and every error, goes through
+csv_records.
 
 The encoder, to_json, works recursively: a dataclass becomes an object of its
 fields in declaration order, an enum its value, a datetime format_timestamp's
@@ -23,8 +26,10 @@ import csv
 import json
 import math
 from dataclasses import fields, is_dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from enum import Enum
+from itertools import repeat
+from operator import attrgetter, is_not
 from pathlib import Path
 
 from .errors import DataFormatError, DomainError
@@ -116,6 +121,64 @@ def timed_values(path: str | Path, column: str, what: str, unit: str):
                 f"{path}: line {line}: {what} must be finite and >= 0 {unit}, got {text!r}"
             )
         yield line, ts, value
+
+
+# every byte but the comma, LF, quote, CR and NUL, which csv reads as structure
+_PLAIN_BYTES = bytes(b for b in range(256) if b not in b',\n"\r\0')
+_BLOCK = 1 << 16  # bytes per block of a column-wise read, which bounds its temporaries
+
+
+def timed_columns(path: str | Path, column: str):
+    """The (times, values) lists of a series CSV file with header
+    timestamp,column whose every record is a plain `stamp,number` line, or
+    None for any other file.
+
+    Plain: UTF-8 text with LF line ends (the last one optional), one comma
+    a line, no blank line, quote, CR or NUL, no field over csv's size limit,
+    each stamp one that parse_timestamp reads without stripping it and
+    whose offset is zero, and each value one that float reads. The values
+    are not range-checked nor the times order-checked: whoever builds from
+    the columns checks both, once. A file that passes gives the (ts, value)
+    pairs that timed_values would; any other file is left to timed_values,
+    the source of every error.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    header = f"timestamp,{column}\n".encode()
+    if not data.startswith(header):
+        return None
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    # one comma and one LF a line, in that order, and nothing csv reads as structure
+    kept = data.translate(None, _PLAIN_BYTES)
+    if kept != b",\n" * (len(kept) // 2):
+        return None
+    limit = csv.field_size_limit()
+    times: list[datetime] = []
+    values: list[float] = []
+    start = len(header)
+    while start < len(data):
+        # a block ends at a line end, which no multi-byte UTF-8 character holds
+        end = data.find(b"\n", start + _BLOCK) + 1 or len(data)
+        try:
+            text = data[start:end].decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        start = end
+        if len(text) > limit and max(map(len, text.replace("\n", ",").split(","))) > limit:
+            return None
+        # parse_timestamp's own Z rule, which a value that float reads never holds
+        cells = text.replace("Z", "+00:00").replace("\n", ",").split(",")
+        cells.pop()  # the empty cell after the last line end
+        try:
+            stamps = list(map(datetime.fromisoformat, cells[0::2]))
+            values += map(float, cells[1::2])
+        except ValueError:
+            return None
+        if any(map(is_not, map(attrgetter("tzinfo"), stamps), repeat(timezone.utc))):
+            return None
+        times += stamps
+    return times, values
 
 
 _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number", float: "number"}

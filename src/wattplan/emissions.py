@@ -13,7 +13,7 @@ from functools import cached_property, reduce
 from itertools import pairwise
 from pathlib import Path
 
-from .datafiles import check_fields, number, timed_values
+from .datafiles import check_fields, number, timed_columns, timed_values
 from .errors import DataFormatError, DomainError, check_nonnegative, check_positive
 from .timestamps import aware, format_timestamp
 
@@ -126,7 +126,24 @@ class CarbonIntensityProfile:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "CarbonIntensityProfile":
-        """Load a series profile from CSV with header timestamp,intensity_g_per_kwh."""
+        """Load a series profile from CSV with header timestamp,intensity_g_per_kwh.
+
+        A file of plain `stamp,number` lines is read column-wise
+        (timed_columns) and checked once, here; any other file, and every
+        file the profile refuses, is read row by row (_from_rows), which
+        names each fault's line.
+        """
+        columns = timed_columns(path, "intensity_g_per_kwh")
+        if columns is not None:
+            try:
+                return cls.from_series(zip(*columns))
+            except DomainError:
+                pass
+        return cls._from_rows(path)
+
+    @classmethod
+    def _from_rows(cls, path: str | Path) -> "CarbonIntensityProfile":
+        """from_csv row by row; the source of every error."""
         rows = timed_values(path, "intensity_g_per_kwh", "intensity", "g/kWh")
         points = [(ts, value) for _, ts, value in rows]
         if not points:

@@ -43,7 +43,7 @@ from wattplan.power_model import (
     system_power,
 )
 from wattplan.simulator import JobMix, load_scenario_config, sweep_threshold
-from wattplan.telemetry import SeriesSegment, intervention_impact, synth_series
+from wattplan.telemetry import PowerSeries, SeriesSegment, intervention_impact, synth_series
 
 NAN, INF = float("nan"), float("inf")
 
@@ -316,6 +316,12 @@ def test_a_negative_seed_is_named_by_the_rule(value, message):
 
 def test_a_seed_past_the_float_range_is_taken():
     assert len(synth_series([(1.0, 4, 1.0)], seed=10**400)) == 4
+
+
+@pytest.mark.parametrize("huge", [10**400, -(10**5000)], ids=["401-digits", "negative-5001"])
+def test_a_power_past_the_float_range_is_named_by_the_rule(huge):
+    with pytest.raises(DomainError, match="^power value exceeds the float range$"):
+        PowerSeries([_T0, _T0 + timedelta(minutes=1)], [1.0, huge])
 
 
 def test_a_negative_guard_gap_is_refused_by_the_rule():
