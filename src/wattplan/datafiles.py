@@ -9,9 +9,9 @@ count, skips blank records and numbers each record by the physical line it
 starts on. The one cell conversion it owns is a series row, timed_values:
 a `timestamp,<value>` row of power or carbon intensity. Any other cell is
 left to its loader, and whether a value is in range to the loader or the
-dataclass it builds, which raises DomainError. A series file of plain
-`stamp,number` lines is first read column-wise, timed_columns, to the same
-stamps and values; every other file, and every error, goes through
+dataclass it builds, which raises DomainError. A carbon-intensity profile
+of plain `stamp,number` lines is first read column-wise, timed_columns, to
+the same stamps and values; every other file, and every error, goes through
 csv_records.
 
 The encoder, to_json, works recursively: a dataclass becomes an object of its

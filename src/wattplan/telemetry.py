@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .datafiles import timed_columns, timed_values
+from .datafiles import timed_values
 from .errors import DataFormatError, DomainError
 from .errors import check_count, check_nonnegative, check_positive, refusal
 from .timestamps import aware, format_timestamp
@@ -202,13 +202,10 @@ def parse_series(path: str | Path) -> PowerSeries:
     number as a DataFormatError, negative or non-finite power as a
     DomainError. The canonical form that write_series emits for whole-second
     times is read vectorized, without a scan for line ends where every row
-    has the same width; any other file of plain `stamp,number` lines (such
-    as `+00:00` stamps) column-wise by timed_columns; any other file, and
-    every file with an error in it, row by row.
+    has the same width; any other file, and every file with an error in it,
+    is read row by row.
     """
     series = _parse_canonical(path)
-    if series is None:
-        series = _parse_columns(path)
     return series if series is not None else _parse_rows(path)
 
 
@@ -375,19 +372,6 @@ def _canonical_power(rows: np.ndarray) -> np.ndarray | None:
         except ValueError:
             return None
     return power
-
-
-def _parse_columns(path: str | Path) -> PowerSeries | None:
-    """The series of a file of plain `stamp,number` lines, or None for any
-    other file and for one whose series breaks the rules."""
-    columns = timed_columns(path, "power_kw")
-    if columns is None:
-        return None
-    times, values = columns
-    try:
-        return PowerSeries._owning(_utc_micros(times), np.array(values, dtype=np.float64))
-    except DomainError:
-        return None
 
 
 def _parse_rows(path: str | Path) -> PowerSeries:

@@ -1,9 +1,10 @@
 """The column-wise read of series files (datafiles.timed_columns) against the
 row-by-row read it stands in front of, which stays the source of every error:
-CarbonIntensityProfile.from_csv against _from_rows, parse_series against
-_parse_rows, and timed_columns against timed_values, on files built from the
-pieces where the two could part: stamp offsets and padding, cells that float
-reads or refuses, quotes, CRLF, blank lines, a missing final newline, a BOM."""
+CarbonIntensityProfile.from_csv against _from_rows and timed_columns against
+timed_values, plus parse_series (whose only other reader is the canonical
+one) against _parse_rows, on files built from the pieces where they could
+part: stamp offsets and padding, cells that float reads or refuses, quotes,
+CRLF, blank lines, a missing final newline, a BOM."""
 
 import csv
 from datetime import datetime, timedelta, timezone
