@@ -122,7 +122,7 @@ def _cmd_policy(args: argparse.Namespace) -> dict:
         path = resolve_input_path(args.weights)
         weights = JobMix.from_dict(read_json(path), str(path)).weights
     else:
-        weights = JobMix.equal(sorted({b.app_name for b in benchmarks})).weights
+        weights = JobMix.equal(sorted(benchmarks.rows)).weights
     fleet = fleet_ratios(benchmarks, weights, rule)
     # the threshold first and each decision with its weight, then the ratios
     return {

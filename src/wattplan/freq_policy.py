@@ -7,6 +7,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from math import inf
 from pathlib import Path
 
 from .datafiles import check_object, csv_records, number
@@ -135,23 +136,26 @@ def recommend(benchmark: AppBenchmark, rule: PolicyRule) -> PolicyDecision:
 
 def _app_rows(benchmarks) -> dict[str, AppBenchmark]:
     """Each app's freq-cap row, else its first row (which recommend() rejects),
-    in the order the apps first appear; a second freq-cap row for an app raises."""
+    in the order the apps first appear; a repeated (app, intervention) raises."""
     rows: dict[str, AppBenchmark] = {}
+    seen: set[tuple[str, Intervention]] = set()
     for bench in benchmarks:
         app = bench.app_name
-        if bench.intervention is not Intervention.FREQ_CAP_2000:
-            rows.setdefault(app, bench)
-        elif app in rows and rows[app].intervention is Intervention.FREQ_CAP_2000:
+        if (app, bench.intervention) in seen:
             raise DomainError(f"duplicate benchmark for app {app!r}")
-        else:
+        seen.add((app, bench.intervention))
+        if app not in rows or bench.intervention is Intervention.FREQ_CAP_2000:
             rows[app] = bench
     return rows
 
 
 class BenchmarkTable(tuple):
-    """A tuple of AppBenchmark rows that keeps, from first use, the row map
-    (whose build, with its duplicate check, runs again while it fails) and the
-    sorted freq-cap perf losses. A copy or pickle carries what it has built."""
+    """AppBenchmark rows that keep, from first use, the row map (built again
+    while its duplicate check fails) and the sorted freq-cap perf losses. A copy
+    or pickle carries what it has built, and BenchmarkTable(table) is table."""
+
+    def __new__(cls, benchmarks=()):
+        return benchmarks if type(benchmarks) is cls else super().__new__(cls, benchmarks)
 
     @cached_property
     def rows(self) -> dict[str, AppBenchmark]:
@@ -175,11 +179,11 @@ def fleet_ratios(
     runtime, and runtime scales as 1/perf. The weights must make a valid
     JobMix over benchmarked apps.
 
-    Each call checks the benchmarks for duplicate rows, then the weights as a
-    JobMix, then each weighted app's row. A scenario calls `fleet_of_rows`,
-    with the row map its BenchmarkTable keeps and the mix checked at its build.
+    A table keeps the row map it builds, with its duplicate check, at first
+    use; a bare sequence gets a new table on each call. Then the weights are
+    checked as a JobMix, and `fleet_of_rows` checks each weighted app's row.
     """
-    rows = _app_rows(benchmarks)
+    rows = BenchmarkTable(benchmarks).rows
     JobMix(weights)  # raises unless the weights are a valid mix
     return fleet_of_rows(rows, weights, rule)
 
@@ -207,6 +211,13 @@ def fleet_of_rows(
         else:
             fleet_power += weight * (source.energy_ratio * source.perf_ratio)
             fleet_throughput += weight * source.perf_ratio
+    if not fleet_power < inf:  # or nan, where a zero weight met an inf product
+        source = max((rows[d.app_name] for d in decisions if not d.reverted),
+                     key=lambda b: b.energy_ratio * b.perf_ratio)
+        raise DomainError(
+            f"fleet power ratio exceeds the float range: kept app {source.app_name!r} "
+            f"has energy_ratio {source.energy_ratio} and perf_ratio {source.perf_ratio}"
+        )
     return FleetRatios(
         fleet_power_ratio=fleet_power,
         fleet_throughput_ratio=fleet_throughput,
@@ -217,13 +228,13 @@ def fleet_of_rows(
 _HEADER = ["app_name", "nodes", "intervention", "perf_ratio", "energy_ratio"]
 
 
-def load_benchmark_table(path: str | Path) -> list[AppBenchmark]:
-    """Load benchmark records from CSV.
+def load_benchmark_table(path: str | Path) -> BenchmarkTable:
+    """Load benchmark records from CSV as a BenchmarkTable, its row map built.
 
     Header must be app_name,nodes,intervention,perf_ratio,energy_ratio with
     intervention one of bios_determinism or freq_cap_2000. Malformed rows, and
     rows whose values AppBenchmark refuses, are reported with their line
-    number; duplicate (app, intervention) pairs are rejected.
+    number; a duplicate (app, intervention) pair is refused by the row map.
     """
     records: list[AppBenchmark] = []
     for line, row in csv_records(path, _HEADER):
@@ -255,13 +266,9 @@ def load_benchmark_table(path: str | Path) -> list[AppBenchmark]:
             records.append(AppBenchmark(app_name, nodes, intervention, perf_ratio, energy_ratio))
         except DomainError as exc:
             raise DomainError(f"{path}: line {line}: {exc}") from None
-    seen: set[tuple[str, Intervention]] = set()
-    for record in records:
-        key = (record.app_name, record.intervention)
-        if key in seen:
-            raise DomainError(
-                f"{path}: duplicate benchmark for ({record.app_name!r}, "
-                f"{record.intervention.value})"
-            )
-        seen.add(key)
-    return records
+    table = BenchmarkTable(records)
+    try:
+        table.rows  # built now, so that a duplicate is named after the path
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None
+    return table

@@ -47,8 +47,8 @@ class ScenarioConfig:
     """One scenario's inputs. Building it checks the utilization, duration and
     BIOS factor; the model, mix and rule were checked when they were built, so
     mutating `mix.weights` later goes unchecked. The benchmarks become a
-    BenchmarkTable, which `dataclasses.replace` passes on: its rows are checked
-    at its first run."""
+    BenchmarkTable unless they are one, as `load_benchmark_table` and
+    `replace` pass them; a table checks its rows once, when loaded or first run."""
 
     model: SystemModel
     utilization: float
@@ -62,8 +62,7 @@ class ScenarioConfig:
     name: str = "scenario"
 
     def __post_init__(self) -> None:
-        if type(self.benchmarks) is not BenchmarkTable:
-            object.__setattr__(self, "benchmarks", BenchmarkTable(self.benchmarks))
+        object.__setattr__(self, "benchmarks", BenchmarkTable(self.benchmarks))
         check_fraction(self.utilization, "utilization")
         check_positive(self.duration_hours, "duration", "hours")
         check_positive(self.bios_factor, "bios_factor")
@@ -172,7 +171,7 @@ def load_scenario_config(path: str | Path) -> ScenarioConfig:
     model = load_model(base_dir / string(doc, "model", where))
     benchmarks = load_benchmark_table(base_dir / string(doc, "benchmarks", where))
     if doc["mix"] == "equal":
-        mix = JobMix.equal(sorted({b.app_name for b in benchmarks}))
+        mix = JobMix.equal(sorted(benchmarks.rows))
     else:
         mix = JobMix.from_dict(doc["mix"], f"{where}: 'mix'")
     rule_where = f"{where}: 'rule'"

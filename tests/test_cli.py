@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -727,7 +728,40 @@ def test_json_rejects_a_non_finite_result_as_the_table_does(capsys, tmp_path, fm
     )
     code, out, err = _run(capsys, "policy", str(table), "--format", fmt)
     _assert_one_error_line(code, out, err)
+    assert err == (
+        "error: fleet power ratio exceeds the float range: "
+        "kept app 'app' has energy_ratio 1e+200 and perf_ratio 1e+200\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_a_non_finite_result_no_step_named_meets_the_cli_net(capsys, monkeypatch, fmt):
+    from wattplan import freq_policy
+
+    monkeypatch.setattr(
+        freq_policy, "fleet_ratios",
+        lambda benchmarks, weights, rule: freq_policy.FleetRatios(math.inf, 1.0, ()),
+    )
+    code, out, err = _run(capsys, "policy", "builtin:table4_freq.csv", "--format", fmt)
+    _assert_one_error_line(code, out, err)
     assert err == "error: a result is not finite (inf)\n"
+
+
+def test_simulate_names_a_fleet_ratio_overflow_as_policy_does(capsys, tmp_path):
+    table = tmp_path / "table.csv"
+    table.write_text(
+        "app_name,nodes,intervention,perf_ratio,energy_ratio\n"
+        "app,1,freq_cap_2000,1e200,1e200\n"
+    )
+    scenario = json.loads(Path(data_path("stacked_scenario.json")).read_text())
+    scenario.update(model=str(data_path("archer2_system.json")), benchmarks=str(table))
+    config = _write_json(tmp_path / "scenario.json", scenario)
+    code, out, err = _run(capsys, "simulate", config)
+    _assert_one_error_line(code, out, err)
+    assert err == (
+        "error: fleet power ratio exceeds the float range: "
+        "kept app 'app' has energy_ratio 1e+200 and perf_ratio 1e+200\n"
+    )
 
 
 def test_emissions_energy_overflow_names_the_power_and_hours(capsys):

@@ -354,7 +354,7 @@ def test_bundled_table3_ratio_ranges(table3):
 def test_load_table_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("app_name,nodes,intervention,perf_ratio,energy_ratio\n")
-    assert load_benchmark_table(path) == []
+    assert load_benchmark_table(path) == ()
 
 
 def test_load_table_rejects_bad_header(tmp_path):
@@ -394,6 +394,18 @@ def test_load_table_rejects_duplicate_records(tmp_path):
     )
     with pytest.raises(DomainError, match="duplicate"):
         load_benchmark_table(path)
+
+
+def test_fleet_ratio_past_the_float_range_names_the_kept_app():
+    # 1e200 * 1e200 passes the float range; a zero weight on it makes nan
+    big = _bench("big", 1e200, 1e200)
+    message = (
+        "^fleet power ratio exceeds the float range: "
+        "kept app 'big' has energy_ratio 1e\\+200 and perf_ratio 1e\\+200$"
+    )
+    for weights in ({"big": 1.0}, {"a": 1.0, "big": 0.0}):
+        with pytest.raises(DomainError, match=message):
+            fleet_ratios([_bench("a", 0.9, 0.9), big], weights, PolicyRule(0.5))
 
 
 def test_load_table_invariant_violation_is_domain_error(tmp_path):

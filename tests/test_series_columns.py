@@ -7,6 +7,7 @@ part: stamp offsets and padding, cells that float reads or refuses, quotes,
 CRLF, blank lines, a missing final newline, a BOM."""
 
 import csv
+import sys
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -18,6 +19,7 @@ from wattplan.datafiles import timed_columns, timed_values
 from wattplan.emissions import CarbonIntensityProfile
 from wattplan.errors import DataFormatError, DomainError
 from wattplan.telemetry import _parse_rows, parse_series
+from wattplan.timestamps import parse_timestamp
 
 UTC = timezone.utc
 T0 = datetime(2022, 6, 1)
@@ -197,3 +199,23 @@ def test_a_value_at_the_field_limit_is_read(tmp_path):
     path = write(tmp_path, f"timestamp,power_kw\n2022-06-01T00:00:00+00:00,{cell}\n")
     assert timed_columns(path, "power_kw") == ([datetime(2022, 6, 1, tzinfo=UTC)], [0.0])
     assert parse_series(path) == _parse_rows(path)
+
+
+# Stamps that Python 3.11+'s fromisoformat reads and 3.10's refuses: basic
+# format, a colonless offset, an ISO week date and a colonless time. The stamp
+# grammar should not depend on the Python that runs it; until it does not,
+# this fails on 3.11 and later, and passing there would be news.
+@pytest.mark.xfail(
+    sys.version_info >= (3, 11), strict=True,
+    reason="parse_timestamp reads what the running Python's fromisoformat reads",
+)
+@pytest.mark.parametrize(
+    "stamp",
+    ["20220601T000000+0000", "2022-06-01T00:00+0000", "2022-W22-3", "2022-06-01T0000+00:00"],
+)
+def test_the_stamp_grammar_is_the_same_on_every_python(tmp_path, stamp):
+    with pytest.raises(DataFormatError):
+        parse_timestamp(stamp)
+    path = write(tmp_path, f"timestamp,{INTENSITY}\n{stamp},100\n")
+    with pytest.raises(DataFormatError):
+        CarbonIntensityProfile.from_csv(path)

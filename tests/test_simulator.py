@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 from dataclasses import replace
 
@@ -11,7 +13,13 @@ from wattplan import freq_policy, simulator
 from wattplan.datafiles import data_path
 from wattplan.emissions import CarbonIntensityProfile, EmbodiedEmissions
 from wattplan.errors import DataFormatError, DomainError
-from wattplan.freq_policy import AppBenchmark, Intervention, PolicyRule
+from wattplan.freq_policy import (
+    AppBenchmark,
+    Intervention,
+    PolicyRule,
+    fleet_ratios,
+    load_benchmark_table,
+)
 from wattplan.power_model import (
     ComponentSpec,
     SystemModel,
@@ -328,6 +336,61 @@ def test_a_duplicated_row_raises_from_every_run_not_from_the_config(monkeypatch)
     with pytest.raises(DomainError, match=r"^duplicate benchmark for app 'a'$"):
         sweep_threshold(config, [0.0, 0.5])
     assert len(builds) == 4
+
+
+def test_a_loaded_table_builds_its_row_map_once(monkeypatch):
+    builds = _counting_row_builds(monkeypatch)
+    table = load_benchmark_table(data_path("table4_freq.csv"))
+    assert len(builds) == 1 and builds[0] is table
+    assert freq_policy.BenchmarkTable(table) is table
+    weights = JobMix.equal(sorted(table.rows)).weights
+    fleets = {fleet_ratios(table, weights, PolicyRule(t)) for t in (0.0, 0.1, 0.1, 1.0)}
+    config = _tiny_config(benchmarks=table, mix=JobMix(weights))
+    assert config.benchmarks is table
+    run_scenario(config)
+    assert len(builds) == 1 and len(fleets) == 3
+    # a bare sequence gets a new table, so a build, on every call
+    fleet_ratios(list(table), weights, PolicyRule(0.1))
+    fleet_ratios(list(table), weights, PolicyRule(0.1))
+    assert len(builds) == 3
+
+
+def test_a_duplicated_bios_row_is_refused_in_one_wording(tmp_path):
+    rows = (
+        AppBenchmark("a", 1, Intervention.BIOS_DETERMINISM, 0.99, 0.9),
+        AppBenchmark("a", 1, Intervention.FREQ_CAP_2000, 0.9, 0.8),
+        AppBenchmark("a", 2, Intervention.BIOS_DETERMINISM, 0.98, 0.9),
+    )
+    message = r"^duplicate benchmark for app 'a'$"
+    with pytest.raises(DomainError, match=message):
+        fleet_ratios(rows, {"a": 1.0}, PolicyRule(0.1))
+    with pytest.raises(DomainError, match=message):
+        run_scenario(_tiny_config(benchmarks=rows, mix=JobMix({"a": 1.0})))
+    path = tmp_path / "dup.csv"
+    path.write_text(
+        "app_name,nodes,intervention,perf_ratio,energy_ratio\n"
+        "a,1,bios_determinism,0.99,0.9\n"
+        "a,1,freq_cap_2000,0.9,0.8\n"
+        "a,2,bios_determinism,0.98,0.9\n"
+    )
+    with pytest.raises(DomainError) as info:
+        load_benchmark_table(path)
+    assert str(info.value) == f"{path}: duplicate benchmark for app 'a'"
+
+
+@pytest.mark.parametrize("made_by", ["copy", "pickle"])
+def test_a_copied_loaded_table_keeps_its_rows_and_row_map(monkeypatch, made_by):
+    table = load_benchmark_table(data_path("table4_freq.csv"))
+    builds = _counting_row_builds(monkeypatch)
+    twin = copy.copy(table) if made_by == "copy" else pickle.loads(pickle.dumps(table))
+    assert type(twin) is freq_policy.BenchmarkTable
+    assert twin == table and twin.rows == table.rows
+    assert list(twin.rows) == list(table.rows)
+    weights = JobMix.equal(sorted(twin.rows)).weights
+    assert fleet_ratios(twin, weights, PolicyRule(0.1)) == fleet_ratios(
+        table, weights, PolicyRule(0.1)
+    )
+    assert builds == []
 
 
 def test_sweep_over_numpy_thresholds_encodes_like_python_floats(stacked_config):
