@@ -32,7 +32,9 @@ _MAX_SEGMENT_HOURS = (datetime.max - datetime.min) / timedelta(hours=1)
 # rows per batch of timestamps and per byte matrix of write_series, which
 # bounds the temporaries
 _CHUNK = 1 << 12
-_BATCH = 1 << 14  # rows per batch of the canonical parse
+# rows per batch of the canonical parse and per block of the changepoint's
+# passes, whose temporaries then stay in cache
+_BATCH = 1 << 15
 
 
 def _micros(ts: datetime) -> int:
@@ -92,16 +94,17 @@ class PowerSeries:
         # before the order check, whose message turns two of the times into datetimes
         if times.size and not (_MIN_US <= times.min() and times.max() <= _MAX_US):
             raise DomainError("timestamps must lie within the years 1 to 9999")
-        backwards = np.flatnonzero(np.diff(times) <= 0)
-        if backwards.size:
-            i = int(backwards[0])
+        increasing = times[1:] > times[:-1]
+        if not increasing.all():
+            i = int(np.argmin(increasing))  # the first backward or repeated step
             raise DomainError(
                 f"timestamps must be strictly increasing: "
                 f"{format_timestamp(_instant(times[i]))} then "
                 f"{format_timestamp(_instant(times[i + 1]))}"
             )
-        bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
-        if bad.size:
+        # a NaN makes the min and the max NaN, which fails both compares
+        if values.size and not (values.min() >= 0 and values.max() < math.inf):
+            bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
             raise DomainError(
                 f"power values must be finite and >= 0 kW, got {float(values[bad[0]])}"
             )
@@ -645,9 +648,16 @@ def intervention_impact(
         raise DomainError(
             f"no samples at or after {format_timestamp(after_start)} (change time plus gap)"
         )
-    before = window_mean(series, first, before_end)
     # pad the window bound by 1 us so the final sample falls inside [start, end)
-    after = window_mean(series, after_start, last + _ONE_US)
+    try:
+        after_end = last + _ONE_US
+    except OverflowError:
+        raise DomainError(
+            f"series ends at {format_timestamp(last)}, so the after window's end "
+            f"1 us later leaves the years 1 to 9999"
+        ) from None
+    before = window_mean(series, first, before_end)
+    after = window_mean(series, after_start, after_end)
     if before.mean_kw == 0:
         raise DomainError("before-window mean is zero; percentage change is undefined")
     delta = after.mean_kw - before.mean_kw
@@ -678,15 +688,10 @@ def detect_changepoint(series: PowerSeries) -> Changepoint:
     n = len(series)
     if n < 4:
         raise DomainError(f"changepoint detection needs at least 4 samples, got {n}")
-    y = series.power_kw
-    # prefix sums with a leading zero, accumulated straight into their buffers
-    csum = np.zeros(n + 1)
-    np.cumsum(y, out=csum[1:])
-    csq = np.zeros(n + 1)
+    csum, csq = _prefix_sums(series.power_kw)
     # a square past the float range makes the total inf or nan; while both
     # sums and the square of the plain one are finite, so is every split's
     with np.errstate(over="ignore", invalid="ignore"):
-        np.cumsum(y * y, out=csq[1:])
         total_sse = float(csq[n] - csum[n] ** 2 / n)
     if not math.isfinite(total_sse):
         raise DomainError("powers are too large for their squared deviations to be floats")
@@ -694,21 +699,49 @@ def detect_changepoint(series: PowerSeries) -> Changepoint:
         # flat series: every split is equivalent, return the earliest
         return Changepoint(change_time=_instant(series.times_us[2]), index=2, score=0.0)
     # left = csq[k] - csum[k]**2 / k and right = (csq[n] - csq[k]) -
-    # (csum[n] - csum[k])**2 / (n - k) for k = 2 .. n - 2, on slices and in place
-    ks = np.arange(2, n - 1)
-    head_sum, head_sq = csum[2 : n - 1], csq[2 : n - 1]
-    left = np.square(head_sum)
-    left /= ks
-    np.subtract(head_sq, left, out=left)
-    right = np.square(csum[n] - head_sum)
-    right /= np.subtract(n, ks, out=ks)
-    np.subtract(csq[n] - head_sq, right, out=right)
-    sse = np.add(left, right, out=left)
-    best = int(np.argmin(sse))
-    k = best + 2
-    score = 1.0 - float(sse[best]) / total_sse
+    # (csum[n] - csum[k])**2 / (n - k) for k = 2 .. n - 2, a block of k at a
+    # time, on slices and in place; k is a double, exact below 2**53, so it
+    # divides as an int64 k would, without the cast
+    offsets = np.arange(min(_BATCH, n - 3), dtype=np.float64)
+    k, best_sse = 2, math.inf
+    for lo in range(2, n - 1, _BATCH):
+        hi = min(lo + _BATCH, n - 1)
+        ks = offsets[: hi - lo] + lo
+        head_sum, head_sq = csum[lo:hi], csq[lo:hi]
+        left = np.square(head_sum)
+        left /= ks
+        np.subtract(head_sq, left, out=left)
+        right = np.square(csum[n] - head_sum)
+        right /= np.subtract(n, ks, out=ks)
+        np.subtract(csq[n] - head_sq, right, out=right)
+        sse = np.add(left, right, out=left)
+        best = int(np.argmin(sse))
+        # only a strictly smaller SSE moves the split, so the earliest wins a tie
+        if sse[best] < best_sse:
+            k, best_sse = lo + best, float(sse[best])
+    score = 1.0 - best_sse / total_sse
     score = min(max(score, 0.0), 1.0)
     return Changepoint(change_time=_instant(series.times_us[k]), index=k, score=score)
+
+
+def _prefix_sums(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cumulative sums of y and of its squares after a leading zero, a
+    block at a time: a block's first term takes the last sum before it, so
+    each sum is the double that one cumsum over y makes.
+
+    Both run as one complex cumsum, y + 1j * y**2, whose additions are those
+    of the two real cumsums, part for part, but overlap in one loop."""
+    sums = np.zeros(len(y) + 1, dtype=np.complex128)
+    terms = np.empty(min(len(y), _BATCH), dtype=np.complex128)
+    # a sum or a square past the float range is inf, which detect_changepoint refuses
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(y), _BATCH):
+            block, part = y[lo : lo + _BATCH], terms[: len(y) - lo]
+            part.real = block
+            np.square(block, out=part.imag)
+            part[0] += sums[lo]
+            np.cumsum(part, out=sums[lo + 1 : lo + 1 + len(part)])
+    return sums.real, sums.imag
 
 
 def synth_series(

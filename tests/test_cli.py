@@ -436,6 +436,24 @@ def test_telemetry_gap_past_the_datetime_range(capsys, step_csv):
 
 
 @pytest.mark.parametrize(
+    "query", [["--detect"], ["--change-time", "9999-12-31T23:59:59.999998Z"]]
+)
+def test_telemetry_series_ending_on_the_last_microsecond(capsys, tmp_path, query):
+    # the after window ends 1 us past the last sample, which no datetime holds
+    series = tmp_path / "series.csv"
+    series.write_text(
+        "timestamp,power_kw\n"
+        + "".join(f"9999-12-31T23:59:59.99999{d}Z,{kw}\n" for d, kw in zip("6789", "5566"))
+    )
+    code, out, err = _run(capsys, "telemetry", str(series), *query)
+    _assert_one_error_line(code, out, err)
+    assert err == (
+        "error: series ends at 9999-12-31T23:59:59.999999Z, so the after window's end "
+        "1 us later leaves the years 1 to 9999\n"
+    )
+
+
+@pytest.mark.parametrize(
     "field,value",
     [
         ("duration_hours", "NaN"),

@@ -244,6 +244,9 @@ def test_powers_whose_squares_overflow_raise_a_domain_error():
     with pytest.raises(DomainError, match="too large"):
         window_mean(series, T0, T0 + _hours(3))
     assert window_mean(series, T0 + _hours(2), T0 + _hours(6)).count == 4
+    # a plain sum past the float range, too, with no warning from the cumsum
+    with pytest.raises(DomainError, match="too large"):
+        detect_changepoint(_series([1e308] * 4))
 
 
 def test_detect_clean_step():

@@ -12,6 +12,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from datetime import datetime, timedelta, timezone
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -889,6 +890,59 @@ def test_changepoint_equals_the_gather_formula(series):
     assert (found.index, found.score) == reference_changepoint(series)
 
 
+# detect_changepoint runs its prefix sums in blocks of _BATCH samples and its
+# split scan in blocks of _BATCH splits from k = 2; the drawn series are
+# shorter than one block, so these run with the block size patched small
+
+
+@pytest.mark.parametrize("block", [3, 64])
+@settings(max_examples=100, deadline=None)
+@given(series=changepoint_series())
+def test_changepoint_in_small_blocks_equals_the_gather_formula(block, series):
+    with patch("wattplan.telemetry._BATCH", block):
+        found = detect_changepoint(series)
+    assert (found.index, found.score) == reference_changepoint(series)
+
+
+def _two_level(n, step, noise_sd=1.0, seed=0):
+    values = np.where(np.arange(n) < step, 3220.0, 3010.0)
+    values = values + np.random.default_rng(seed).normal(0.0, noise_sd, n)
+    return PowerSeries.from_arrays(np.arange(n), values)
+
+
+@pytest.mark.parametrize("block", [3, 64])
+@pytest.mark.parametrize(
+    "case", ["sum block edge", "scan block edge", "tie across blocks", "four samples"]
+)
+def test_changepoint_across_block_edges(block, case):
+    if case == "sum block edge":  # the second level starts a block of the prefix sums
+        series, expected = _two_level(10 * block, 4 * block), 4 * block
+    elif case == "scan block edge":  # the best split is the first of a scan block
+        series, expected = _two_level(10 * block, 2 + 4 * block), 2 + 4 * block
+    elif case == "tie across blocks":
+        # 0^a 1^b 0^a: the splits at a and a + b have the same SSE to the bit,
+        # a * b / (a + b), and lie in different scan blocks; the earliest wins
+        a, b = 2 * block + 4, 3 * block
+        series = PowerSeries.from_arrays(np.arange(2 * a + b), [0.0] * a + [1.0] * b + [0.0] * a)
+        expected = a
+    else:
+        series = PowerSeries.from_arrays(np.arange(4), [5.0, 1.0, 7.0, 2.5])
+        expected = reference_changepoint(series)[0]
+    with patch("wattplan.telemetry._BATCH", block):
+        found = detect_changepoint(series)
+    assert (found.index, found.score) == reference_changepoint(series)
+    assert found.index == expected
+
+
+@pytest.mark.parametrize("block", [64, _BATCH])
+def test_changepoint_over_a_year_of_minutes_in_blocks(block):
+    series = _two_level(525_600, 200_000, noise_sd=25.0, seed=3)
+    with patch("wattplan.telemetry._BATCH", block):
+        found = detect_changepoint(series)
+    assert (found.index, found.score) == reference_changepoint(series)
+    assert found.index == 200_000
+
+
 # -- the series itself --------------------------------------------------------
 
 
@@ -940,7 +994,18 @@ def test_array_construction_checks_like_the_tuple_one():
         match="strictly increasing: 1970-01-01T00:00:00.000002Z then 1970-01-01T00:00:00.000002Z",
     ):
         PowerSeries.from_arrays([1, 2, 2], [1.0, 1.0, 1.0])
-    with pytest.raises(DomainError, match="finite and >= 0 kW, got nan"):
-        PowerSeries.from_arrays([1, 2], [1.0, math.nan])
+    with pytest.raises(
+        DomainError,
+        match="strictly increasing: 1970-01-01T00:00:00.000003Z then 1970-01-01T00:00:00.000002Z",
+    ):
+        PowerSeries.from_arrays([1, 2, 3, 2], [1.0, 1.0, 1.0, 1.0])
+    for last in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=f"finite and >= 0 kW, got {last}$"):
+            PowerSeries.from_arrays([1, 2, 3], [1.0, 2.0, last])
+    # the first bad value in index order, not the one the min or max finds
+    with pytest.raises(DomainError, match="finite and >= 0 kW, got -2.0$"):
+        PowerSeries.from_arrays([1, 2, 3, 4], [1.0, -2.0, math.nan, -5.0])
+    assert len(PowerSeries.from_arrays([1, 2], [1.0, -0.0])) == 2  # -0.0 is >= 0
+    assert len(PowerSeries.from_arrays([], [])) == 0
     with pytest.raises(DomainError, match="years 1 to 9999"):
         PowerSeries.from_arrays([0, 2**62], [1.0, 1.0])
