@@ -6,6 +6,7 @@ redistributable)."""
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
@@ -91,11 +92,15 @@ class PowerSeries:
     def _adopt(self, times: np.ndarray, values: np.ndarray) -> None:
         if len(times) != len(values):
             raise DomainError(f"{len(times)} timestamps but {len(values)} power values")
-        # before the order check, whose message turns two of the times into datetimes
-        if times.size and not (_MIN_US <= times.min() and times.max() <= _MAX_US):
-            raise DomainError("timestamps must lie within the years 1 to 9999")
         increasing = times[1:] > times[:-1]
-        if not increasing.all():
+        ordered = bool(increasing.all())
+        if times.size:
+            # increasing times have their extremes at their ends
+            low, high = (times[0], times[-1]) if ordered else (times.min(), times.max())
+            # before the order check, whose message turns two of the times into datetimes
+            if not (_MIN_US <= low and high <= _MAX_US):
+                raise DomainError("timestamps must lie within the years 1 to 9999")
+        if not ordered:
             i = int(np.argmin(increasing))  # the first backward or repeated step
             raise DomainError(
                 f"timestamps must be strictly increasing: "
@@ -206,7 +211,9 @@ def parse_series(path: str | Path) -> PowerSeries:
     DomainError. The canonical form that write_series emits for whole-second
     times is read vectorized, without a scan for line ends where every row
     has the same width; any other file, and every file with an error in it,
-    is read row by row.
+    is read row by row. The canonical rows of a file of more than _BATCH
+    rows are parsed in batches on a thread per usable CPU, with the same
+    result as on one.
     """
     series = _parse_canonical(path)
     return series if series is not None else _parse_rows(path)
@@ -279,29 +286,69 @@ def _parse_groups(body: np.ndarray, starts, groups) -> PowerSeries | None:
     times = np.empty(len(starts), dtype=np.int64)
     power = np.empty(len(starts))
     # a batch per row length, so that byte j of every row is one column
+    batches = []
     for length, group in groups:
         if length <= _STAMP_BYTES:
             return None
         windows = sliding_window_view(body, length)
         for lo in range(0, len(group), _BATCH):
-            rows = group[lo : lo + _BATCH]
-            first, n = int(rows[0]), len(rows)
-            if rows[-1] - first == n - 1:
-                # consecutive rows of one length are evenly spaced in the file
-                rows = slice(first, first + n)
-                block = windows[starts[first] :: length + 1][:n]
-            else:
-                block = windows[starts[rows]]
-            seconds = _canonical_seconds(block)
-            kw = None if seconds is None else _canonical_power(block)
-            if kw is None:
-                return None
-            times[rows] = seconds * 1_000_000
-            power[rows] = kw
+            batches.append((length, windows, group[lo : lo + _BATCH]))
+
+    failed = False
+
+    def parse(batch) -> bool:
+        """Whether the batch's rows are canonical; it writes only their slots."""
+        nonlocal failed
+        if failed:  # the file is not canonical: spare the threads the work
+            return False
+        length, windows, rows = batch
+        first, n = int(rows[0]), len(rows)
+        if rows[-1] - first == n - 1:
+            # consecutive rows of one length are evenly spaced in the file
+            rows = slice(first, first + n)
+            block = windows[starts[first] :: length + 1][:n]
+        else:
+            block = windows[starts[rows]]
+        seconds = _canonical_seconds(block)
+        kw = None if seconds is None else _canonical_power(block)
+        if kw is None:
+            failed = True
+            return False
+        times[rows] = seconds * 1_000_000
+        power[rows] = kw
+        return True
+
+    # threads cost more than they save on a file of at most one batch of
+    # rows, even where its widths make several batches
+    parse_each = _each if len(times) > _BATCH else map
+    if not all(parse_each(parse, batches)):
+        return None
     try:
         return PowerSeries._owning(times, power)
     except DomainError:
         return None
+
+
+def _each(fn, items) -> list:
+    """[fn(item) for item in items], on a thread per usable CPU where there
+    are two items or more; numpy releases the GIL in its array loops."""
+    workers = min(len(items), _cpus())
+    if workers < 2:
+        return list(map(fn, items))
+    # imported here, as it costs a few ms (mostly logging) that a call on one
+    # thread should not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, items))
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _canonical_seconds(rows: np.ndarray) -> np.ndarray | None:
@@ -701,7 +748,8 @@ def detect_changepoint(series: PowerSeries) -> Changepoint:
     # left = csq[k] - csum[k]**2 / k and right = (csq[n] - csq[k]) -
     # (csum[n] - csum[k])**2 / (n - k) for k = 2 .. n - 2, a block of k at a
     # time, on slices and in place; k is a double, exact below 2**53, so it
-    # divides as an int64 k would, without the cast
+    # divides as an int64 k would, without the cast. On a thread per block
+    # (see _each) the scan was slower, so it stays on this one.
     offsets = np.arange(min(_BATCH, n - 3), dtype=np.float64)
     k, best_sse = 2, math.inf
     for lo in range(2, n - 1, _BATCH):

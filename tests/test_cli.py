@@ -13,7 +13,7 @@ import pytest
 import wattplan
 from wattplan.cli import main
 from wattplan.datafiles import data_path
-from wattplan.telemetry import synth_series, write_series
+from wattplan.telemetry import _BATCH, synth_series, write_series
 from wattplan.timestamps import format_timestamp
 
 T0 = datetime(2022, 1, 1, tzinfo=timezone.utc)
@@ -1069,6 +1069,36 @@ def test_importing_the_package_and_the_cli_leaves_numpy_out():
         "import wattplan.cli; assert 'numpy' not in sys.modules"
     )
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+# the telemetry module imports its thread pool only for a series of more than
+# _BATCH samples, as the import costs a few ms that a cold call would pay
+POOL_FREE_CHILD = (
+    "import sys; from wattplan.cli import main; code = main(sys.argv[1:]); "
+    "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures loaded'; "
+    "sys.exit(code)"
+)
+
+
+def test_importing_telemetry_leaves_the_thread_pool_out():
+    proc = _child(
+        "import sys, wattplan.telemetry; assert 'concurrent.futures' not in sys.modules"
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_a_one_batch_telemetry_call_leaves_the_thread_pool_out(planning_cycle):
+    cycle, work = planning_cycle
+    # synth writes the series that telemetry_detect reads
+    for label in ("synth", "telemetry_detect"):
+        proc = _child(POOL_FREE_CHILD, *cycle[label], cwd=work)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == (PERFBENCH / "golden" / f"{label}.out").read_bytes()
+    # the bundled timeline is fewer rows than one batch, though its five row
+    # widths make five batches, and one block of splits
+    lines = (work / "full_timeline.csv").read_text().splitlines()[1:]
+    assert len(lines) == 6_480 <= _BATCH
+    assert len(set(map(len, lines))) == 5
 
 
 @pytest.mark.parametrize("label", NUMPY_FREE_CALLS)

@@ -8,8 +8,10 @@ import copy
 import csv
 import math
 import pickle
+import threading
 from bisect import bisect_left
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import FrozenInstanceError
 from datetime import datetime, timedelta, timezone
 from unittest.mock import patch
@@ -25,10 +27,15 @@ from wattplan.telemetry import _CHUNK as _WRITE_CHUNK
 from wattplan.telemetry import (
     _BATCH,
     _MAX_ROW_BYTES,
+    _MAX_US,
+    _MIN_US,
     _REPR_BYTES,
     PowerSeries,
     SeriesSegment,
+    _each,
+    _micros,
     _parse_canonical,
+    _parse_rows,
     _reprs,
     detect_changepoint,
     parse_series,
@@ -572,6 +579,99 @@ def test_short_and_wide_files_of_one_width_match_the_reference(tmp_path, text):
     assert_parse_matches_reference(path, oracle=not wide)
 
 
+# -- the batches on a thread per CPU ------------------------------------------
+
+# _each runs the parse batches of a file of more than _BATCH rows on a thread
+# per usable CPU. These patch the batch small and the CPU count to 1 and to 4,
+# so that a file of a few thousand rows takes the serial and the pooled
+# branch on any host.
+
+
+@contextmanager
+def _batches(cpus, batch=64):
+    with patch("wattplan.telemetry._BATCH", batch), patch("wattplan.telemetry._cpus", lambda: cpus):
+        yield
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_each_maps_in_order_on_a_thread_per_cpu(cpus):
+    main = threading.get_ident()
+    with _batches(cpus):
+        assert _each(lambda x: x * x, range(100)) == [x * x for x in range(100)]
+        threads = set(_each(lambda _: threading.get_ident(), range(8)))
+        assert _each(lambda _: threading.get_ident(), [0]) == [main]  # one item: no pool
+    assert threads == {main} if cpus == 1 else main not in threads
+
+
+def _written_rows(path, n):
+    """A write_series file of n noisy minutes, whose rows have several widths."""
+    series = synth_series([(n / 60, n, 3220.0, 25.0)], seed=5, start=FIXED_START)
+    write_series(series, path)
+    assert len(set(map(len, path.read_text().splitlines()))) > 2
+
+
+def _fixed_rows(path, n):
+    """A file of n .3f minutes from 1000 to 9999 kW, whose rows have one width."""
+    kw = np.random.default_rng(13).uniform(1000.0, 9999.0, n)
+    _write_rows(path, _minutes(FIXED_START, n), [f"{v:.3f}" for v in kw])
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("rows", [_written_rows, _fixed_rows], ids=["widths", "one width"])
+def test_batches_on_threads_parse_as_the_per_row_reader(tmp_path, rows, cpus):
+    path = tmp_path / "series.csv"
+    rows(path, 20 * 64 + 5)  # twenty full batches and a short one
+    want = _parse_rows(path)
+    with _batches(cpus):
+        assert _parse_canonical(path) is not None
+        got = parse_series(path)
+    assert np.array_equal(got.times_us, want.times_us)
+    assert np.array_equal(got.power_kw.view(np.int64), want.power_kw.view(np.int64))
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("rows", [_written_rows, _fixed_rows], ids=["widths", "one width"])
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda stamp, value: f"{stamp},x",
+        lambda stamp, value: f"{stamp},-{value}",
+        lambda stamp, value: f"2022-06-01T00:00:00Z,{value}",  # out of order
+        lambda stamp, value: f"2022-06-31{stamp[10:]},{value}",
+    ],
+    ids=["not a number", "negative", "out of order", "no such date"],
+)
+def test_a_bad_row_in_the_last_batch_fails_as_the_per_row_reader(tmp_path, rows, cpus, edit):
+    path = tmp_path / "series.csv"
+    n = 20 * 64 + 5
+    rows(path, n)
+    lines = path.read_text().splitlines()
+    lines[-1] = edit(*lines[-1].split(","))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises((DataFormatError, DomainError)) as want:
+        _parse_rows(path)
+    assert f"line {n + 1}: " in str(want.value)
+    with _batches(cpus), pytest.raises(want.type) as got:
+        parse_series(path)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("rows", [_written_rows, _fixed_rows], ids=["widths", "one width"])
+def test_an_odd_row_in_the_last_batch_leaves_the_file_to_the_per_row_reader(tmp_path, rows, cpus):
+    path = tmp_path / "series.csv"
+    rows(path, 20 * 64 + 5)
+    lines = path.read_text().splitlines()
+    lines[-1] = lines[-1].replace("Z,", "+00:00,")  # valid, but not canonical
+    path.write_text("\n".join(lines) + "\n")
+    want = _parse_rows(path)
+    with _batches(cpus):
+        assert _parse_canonical(path) is None
+        got = parse_series(path)
+    assert np.array_equal(got.times_us, want.times_us)
+    assert np.array_equal(got.power_kw.view(np.int64), want.power_kw.view(np.int64))
+
+
 def test_daily_stamps_match_the_reference(tmp_path):
     # a new date on every row, across the 1900 non-leap year and several leap days
     start = datetime(1896, 1, 1, tzinfo=UTC)
@@ -1009,3 +1109,20 @@ def test_array_construction_checks_like_the_tuple_one():
     assert len(PowerSeries.from_arrays([], [])) == 0
     with pytest.raises(DomainError, match="years 1 to 9999"):
         PowerSeries.from_arrays([0, 2**62], [1.0, 1.0])
+
+
+def test_range_is_checked_before_order():
+    # increasing times are checked at their ends only; times out of order
+    # and out of range get the range message, whose check comes first
+    lowest, highest = _MIN_US, _MAX_US
+    assert len(PowerSeries.from_arrays([lowest, 0, highest], [1.0] * 3)) == 3
+    for times in ([lowest - 1, 0], [0, highest + 1], [2**62, 0], [0, 2**62, 1], [1, -(2**62), 0]):
+        with pytest.raises(DomainError, match="timestamps must lie within the years 1 to 9999$"):
+            PowerSeries.from_arrays(times, [1.0] * len(times))
+    # in range and out of order, the message names the backward step
+    t = _micros(datetime(2022, 6, 1, tzinfo=UTC))
+    with pytest.raises(
+        DomainError,
+        match="strictly increasing: 2022-06-01T00:01:00Z then 2022-06-01T00:00:30Z$",
+    ):
+        PowerSeries.from_arrays([t, t + 60_000_000, t + 30_000_000], [1.0] * 3)
