@@ -141,17 +141,6 @@ def _policy_table(doc: dict) -> str:
     return _columns(spec, rows) + "\n\n" + _kv_table(ratios)
 
 
-def _window_doc(stats) -> dict:
-    """A window, whose sample count the document calls samples."""
-    return {
-        "start": stats.start,
-        "end": stats.end,
-        "samples": stats.count,
-        "mean_kw": stats.mean_kw,
-        "stddev_kw": stats.stddev_kw,
-    }
-
-
 def _cmd_telemetry(args: argparse.Namespace) -> dict:
     from .telemetry import detect_changepoint, intervention_impact, parse_series
 
@@ -167,15 +156,10 @@ def _cmd_telemetry(args: argparse.Namespace) -> dict:
         score = {"score": found.score}
     else:
         change_time = parse_timestamp(args.change_time)
-    report = intervention_impact(series, change_time, gap)
-    return {
-        "change_time": report.change_time,
-        **score,
-        "before": _window_doc(report.before),
-        "after": _window_doc(report.after),
-        "delta_kw": report.delta_kw,
-        "pct_change": report.pct_change,
-    }
+    report = to_json(intervention_impact(series, change_time, gap))
+    for side in ("before", "after"):  # the document calls a window's count samples
+        report[side] = {"samples" if k == "count" else k: v for k, v in report[side].items()}
+    return {"change_time": report.pop("change_time"), **score, **report}
 
 
 def _telemetry_table(doc: dict) -> str:

@@ -144,16 +144,14 @@ class CarbonIntensityProfile:
     @classmethod
     def _from_rows(cls, path: str | Path) -> "CarbonIntensityProfile":
         """from_csv row by row; the source of every error."""
-        rows = timed_values(path, "intensity_g_per_kwh", "intensity", "g/kWh")
-        points = [(ts, value) for _, ts, value in rows]
-        if not points:
+        rows = list(timed_values(path, "intensity_g_per_kwh", "intensity", "g/kWh"))
+        if not rows:
             raise DataFormatError(f"{path}: no intensity rows found")
         try:
-            return cls.from_series(points)
+            return cls.from_series((ts, value) for _, ts, value in rows)
         except DomainError:
-            # timed_values checked each value, so the order check failed: read
-            # the rows again to name the line of the first disorder
-            rows = timed_values(path, "intensity_g_per_kwh", "intensity", "g/kWh")
+            # timed_values checked each value, so the order check failed: name
+            # the line of the first disorder
             for (_, before, _), (line, ts, _) in pairwise(rows):
                 if ts <= before:
                     raise DataFormatError(

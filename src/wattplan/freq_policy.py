@@ -4,6 +4,7 @@ revert-threshold rule that picks each application's default CPU frequency."""
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -151,8 +152,8 @@ def _app_rows(benchmarks) -> dict[str, AppBenchmark]:
 
 class BenchmarkTable(tuple):
     """AppBenchmark rows that keep, from first use, the row map (built again
-    while its duplicate check fails) and the sorted freq-cap perf losses. A copy
-    or pickle carries what it has built, and BenchmarkTable(table) is table."""
+    while its duplicate check fails) and the losses `kept_count` bisects. A
+    copy or pickle carries what it has built, and BenchmarkTable(table) is table."""
 
     def __new__(cls, benchmarks=()):
         return benchmarks if type(benchmarks) is cls else super().__new__(cls, benchmarks)
@@ -162,10 +163,15 @@ class BenchmarkTable(tuple):
         return _app_rows(self)
 
     @cached_property
-    def freq_cap_losses(self) -> tuple[float, ...]:
-        return tuple(sorted(
-            1.0 - b.perf_ratio for b in self if b.intervention is Intervention.FREQ_CAP_2000
-        ))
+    def _kept_losses(self) -> list[float]:
+        return sorted(
+            b._decisions[0].perf_loss for b in self if b.intervention is Intervention.FREQ_CAP_2000
+        )
+
+    def kept_count(self, threshold: float) -> int:
+        """The number of freq-cap rows that `recommend` keeps at the cap under
+        this threshold: those whose kept decision's loss is not above it."""
+        return bisect_right(self._kept_losses, threshold)
 
 
 def fleet_ratios(

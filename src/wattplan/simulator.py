@@ -4,7 +4,6 @@ throughput index out, plus threshold sweeps over the revert rule."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -120,21 +119,19 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 def sweep_threshold(config: ScenarioConfig, thresholds) -> list[tuple[float, ScenarioResult]]:
     """The scenario at each revert threshold, ordered by threshold.
 
-    The rule acts only through `perf_loss > threshold` on each freq-cap row,
-    so the decisions at a threshold follow from how many of those losses lie
-    at or below it. A result does not record the threshold, so the scenario
-    runs once per such count, at the smallest threshold that has it:
-    thresholds that share a decision set return the same frozen
-    `ScenarioResult` object.
+    The decisions at a threshold follow from how many freq-cap rows keep the
+    cap there (`BenchmarkTable.kept_count`). A result does not record the
+    threshold, so the scenario runs once per such count, at the smallest
+    threshold that has it: thresholds that share a decision set return the
+    same frozen `ScenarioResult` object.
     """
     thresholds = list(thresholds)
     for threshold in thresholds:
         check_fraction(threshold, "threshold")
-    losses = config.benchmarks.freq_cap_losses
     by_count: dict[int, ScenarioResult] = {}
     results = []
     for threshold in sorted(thresholds):
-        count = bisect_right(losses, threshold)
+        count = config.benchmarks.kept_count(threshold)
         if count not in by_count:
             by_count[count] = run_scenario(replace(config, rule=PolicyRule(threshold)))
         results.append((threshold, by_count[count]))

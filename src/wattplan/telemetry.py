@@ -246,10 +246,11 @@ def _parse_canonical(path: str | Path) -> PowerSeries | None:
     Rows are parsed in batches of one length. Where the first row's width w
     divides the body into rows of w + 1 bytes and one strided compare finds
     a newline at the end of each, the rows are first read as one group,
-    without a scan for the line ends. Any other file, and one whose read as
-    a single group fails (such as rows of several widths whose newlines fall
-    on the stride by chance), has its line ends scanned and its rows grouped
-    by length.
+    without a scan for the line ends. Any other file has its line ends
+    scanned and its rows grouped by length. So has a file whose read as a
+    single group fails, if the scan finds more line ends than the stride
+    (rows of several widths whose newlines fall on the stride by chance);
+    if not, its rows are one width and that read's failure stands.
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -257,6 +258,7 @@ def _parse_canonical(path: str | Path) -> PowerSeries | None:
         return None
     body = np.frombuffer(data, dtype=np.uint8, offset=len(_HEADER))
     width = data.find(b"\n", len(_HEADER)) - len(_HEADER)  # the first row's
+    n_rows = None  # as the stride counts them, if the file passes it
     if body.size and width <= _MAX_ROW_BYTES and body.size % (width + 1) == 0 and (
         body[width :: width + 1] == ord("\n")
     ).all():
@@ -269,6 +271,8 @@ def _parse_canonical(path: str | Path) -> PowerSeries | None:
         if series is not None:
             return series
     ends = np.flatnonzero(body == ord("\n"))
+    if len(ends) == n_rows:  # no newline off the stride: the rows are one width
+        return None
     starts = np.concatenate(([0], ends + 1))[:-1]
     lengths = ends - starts
     if lengths.size and lengths.max() > _MAX_ROW_BYTES:

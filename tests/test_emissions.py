@@ -4,6 +4,7 @@ import random
 import time
 from bisect import bisect_right
 from datetime import datetime, timedelta, timezone
+from unittest.mock import patch
 
 import pytest
 
@@ -20,7 +21,7 @@ from wattplan.emissions import (
     run_intensity,
     scope2_emissions,
 )
-from wattplan.datafiles import to_json
+from wattplan.datafiles import timed_values, to_json
 from wattplan.errors import DataFormatError, DomainError
 
 T0 = datetime(2022, 6, 1, tzinfo=timezone.utc)
@@ -505,6 +506,25 @@ def test_profile_csv_names_the_physical_line_of_the_first_disorder(tmp_path, bod
     with pytest.raises(DataFormatError) as err:
         CarbonIntensityProfile.from_csv(path)
     assert str(err.value) == f"{path}: {message}"
+
+
+def test_a_disordered_plain_profile_is_read_once_by_the_row_reader(tmp_path):
+    # the column-wise read passes the plain file, the profile refuses its
+    # order, and the row reader's rows name the line without a second read
+    path = tmp_path / "intensity.csv"
+    stamps = [T0 + timedelta(minutes=30 * i) for i in range(6)]
+    stamps[4] = T0
+    path.write_text("timestamp,intensity_g_per_kwh\n" + "".join(
+        f"{ts.isoformat()},{40 + i}\n" for i, ts in enumerate(stamps)
+    ))
+    with patch("wattplan.emissions.timed_values", wraps=timed_values) as rows:
+        with pytest.raises(DataFormatError) as err:
+            CarbonIntensityProfile.from_csv(path)
+    assert str(err.value) == (
+        f"{path}: line 6: timestamps not strictly increasing "
+        "(2022-06-01 01:30:00+00:00 then 2022-06-01 00:00:00+00:00)"
+    )
+    assert rows.call_count == 1
 
 
 def test_amortized_scope3_zero_duration():

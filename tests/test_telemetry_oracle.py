@@ -35,6 +35,7 @@ from wattplan.telemetry import (
     _each,
     _micros,
     _parse_canonical,
+    _parse_groups,
     _parse_rows,
     _reprs,
     detect_changepoint,
@@ -535,6 +536,25 @@ def test_two_widths_that_pass_the_stride_are_read_by_the_scan(tmp_path):
     assert reference_parse_canonical(path) is not None
     assert_fast_path_matches_oracle(path)
     assert_parse_matches_reference(path)
+
+
+def test_a_bad_row_of_one_width_is_parsed_once_before_the_row_read(tmp_path):
+    # the scan finds no line end off the stride, so it has no rows to regroup
+    # and the strided read's failure sends the file to the row read at once
+    n = 2 * _BATCH
+    rng = np.random.default_rng(17)
+    values = [f"{v:.3f}" for v in rng.uniform(1000.0, 9999.0, n)]
+    values[-1] = "3220.12x"  # 8 bytes, as every other value
+    path = tmp_path / "series.csv"
+    _write_rows(path, _minutes(FIXED_START, n), values)
+    with patch("wattplan.telemetry._parse_groups", wraps=_parse_groups) as groups:
+        with pytest.raises(DataFormatError) as err:
+            parse_series(path)
+    assert groups.call_count == 1
+    with pytest.raises(DataFormatError) as rows_err:
+        _parse_rows(path)
+    assert str(err.value) == str(rows_err.value)
+    assert str(err.value) == f"{path}: line {n + 1}: power is not a number: '3220.12x'"
 
 
 @pytest.mark.parametrize("header_end", ["\r\n", "\n"])
