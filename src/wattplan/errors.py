@@ -57,6 +57,7 @@ def check_fraction(value, what: str, name=None) -> None:
 
 
 def check_count(value, what: str, name=None) -> None:
-    if not (isinstance(value, int) and 1 <= value <= _MAX):
+    # bool is a subclass of int, but True is not a count
+    if not (type(value) is int and 1 <= value <= _MAX):
         # a count that is not an int is shown by repr, which names its type
         raise refusal(value, what, "an integer >= 1", "", name, repr)

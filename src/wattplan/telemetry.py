@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
 from itertools import repeat
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +27,7 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _ONE_US = timedelta(microseconds=1)
 _MIN_US = (datetime.min.replace(tzinfo=timezone.utc) - _EPOCH) // _ONE_US
 _MAX_US = (datetime.max.replace(tzinfo=timezone.utc) - _EPOCH) // _ONE_US
+_OUT_OF_YEARS = "timestamps must lie within the years 1 to 9999"
 # the longest span a datetime can hold, and so the longest synthetic segment
 _MAX_SEGMENT_HOURS = (datetime.max - datetime.min) / timedelta(hours=1)
 # rows per batch of timestamps and per byte matrix of write_series, which
@@ -49,6 +49,16 @@ def _kw(value) -> float:
         return float(value)
     except OverflowError:
         raise refusal(value, "power value", "finite and >= 0", "kW") from None
+
+
+def _whole_us(t) -> int:
+    """int(t), for a time t in epoch microseconds that is an integer or an
+    integral float within the years 1 to 9999."""
+    if t == t and not _MIN_US <= t <= _MAX_US:
+        raise DomainError(_OUT_OF_YEARS)
+    if t != t or t % 1:
+        raise refusal(t, "timestamp", "a whole number of", "microseconds")
+    return int(t)
 
 
 def _instant(us) -> datetime:
@@ -76,10 +86,16 @@ class PowerSeries:
 
     @classmethod
     def from_arrays(cls, times_us, power_kw) -> "PowerSeries":
-        """A series from epoch microseconds and kW values; both are copied."""
-        return cls._owning(
-            np.array(times_us, dtype=np.int64), np.array(power_kw, dtype=np.float64)
-        )
+        """A series from epoch microseconds and kW values; both are copied.
+        A time is an integer or an integral float. Float, unsigned and object
+        times, and object powers (such as an int past the float range), are
+        checked one by one before a cast could change them."""
+        times, power = np.asarray(times_us), np.asarray(power_kw)
+        if times.dtype.kind in "fuO":
+            times = list(map(_whole_us, times.tolist()))
+        if power.dtype.kind == "O":
+            power = list(map(_kw, power.tolist()))
+        return cls._owning(np.array(times, dtype=np.int64), np.array(power, dtype=np.float64))
 
     @classmethod
     def _owning(cls, times: np.ndarray, values: np.ndarray) -> "PowerSeries":
@@ -99,7 +115,7 @@ class PowerSeries:
             low, high = (times[0], times[-1]) if ordered else (times.min(), times.max())
             # before the order check, whose message turns two of the times into datetimes
             if not (_MIN_US <= low and high <= _MAX_US):
-                raise DomainError("timestamps must lie within the years 1 to 9999")
+                raise DomainError(_OUT_OF_YEARS)
         if not ordered:
             i = int(np.argmin(increasing))  # the first backward or repeated step
             raise DomainError(
@@ -298,13 +314,8 @@ def _parse_groups(body: np.ndarray, starts, groups) -> PowerSeries | None:
         for lo in range(0, len(group), _BATCH):
             batches.append((length, windows, group[lo : lo + _BATCH]))
 
-    failed = False
-
     def parse(batch) -> bool:
         """Whether the batch's rows are canonical; it writes only their slots."""
-        nonlocal failed
-        if failed:  # the file is not canonical: spare the threads the work
-            return False
         length, windows, rows = batch
         first, n = int(rows[0]), len(rows)
         if rows[-1] - first == n - 1:
@@ -316,7 +327,6 @@ def _parse_groups(body: np.ndarray, starts, groups) -> PowerSeries | None:
         seconds = _canonical_seconds(block)
         kw = None if seconds is None else _canonical_power(block)
         if kw is None:
-            failed = True
             return False
         times[rows] = seconds * 1_000_000
         power[rows] = kw
@@ -440,20 +450,7 @@ def _parse_rows(path: str | Path) -> PowerSeries:
             )
         timestamps.append(ts)
         values.append(value)
-    return PowerSeries._owning(_utc_micros(timestamps), np.array(values, dtype=np.float64))
-
-
-def _utc_micros(stamps: list[datetime]) -> np.ndarray:
-    """Epoch microseconds of UTC datetimes, a field at a time; a fraction of
-    the cost of subtracting the epoch from each."""
-
-    def field(get) -> np.ndarray:
-        return np.fromiter(map(get, stamps), dtype=np.int64, count=len(stamps))
-
-    days = field(datetime.toordinal) - _EPOCH.toordinal()
-    hours = days * 24 + field(attrgetter("hour"))
-    seconds = (hours * 60 + field(attrgetter("minute"))) * 60 + field(attrgetter("second"))
-    return seconds * 1_000_000 + field(attrgetter("microsecond"))
+    return PowerSeries(timestamps, values)
 
 
 def write_series(series: PowerSeries, path: str | Path) -> None:

@@ -294,6 +294,14 @@ def test_each_rule_site_refuses_in_one_grammar(call, value, message):
     assert str(refused.value) == message
 
 
+@pytest.mark.parametrize("site", ["benchmark-nodes", "component-count", "segment-samples"])
+def test_a_count_refuses_a_bool(site):
+    call, _, message = RULE_SITES[site]
+    with pytest.raises(DomainError) as refused:
+        call(True)
+    assert str(refused.value) == message.replace("got 0", "got True")
+
+
 # the second is past the int-string digit limit, so that no message may write it out
 @pytest.mark.parametrize("huge", [10**400, -(10**5000)], ids=["401-digits", "negative-5001"])
 @pytest.mark.parametrize("call,value,message", RULE_SITES.values(), ids=RULE_SITES)

@@ -676,6 +676,25 @@ def test_a_bad_row_in_the_last_batch_fails_as_the_per_row_reader(tmp_path, rows,
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("rows", [_written_rows, _fixed_rows], ids=["widths", "one width"])
+def test_a_bad_row_in_the_first_batch_fails_as_the_per_row_reader(tmp_path, rows):
+    # batch 0 holds the first rows of the shortest width; every later batch
+    # still runs on its thread, and the file goes to the row read
+    path = tmp_path / "series.csv"
+    rows(path, 20 * 64 + 5)
+    lines = path.read_text().splitlines()
+    i = min(range(1, len(lines)), key=lambda i: len(lines[i]))
+    stamp, value = lines[i].split(",")
+    lines[i] = f"{stamp},x{value[1:]}"  # as wide as the row it replaces
+    path.write_text("\n".join(lines) + "\n")
+    with _batches(4), pytest.raises(DataFormatError) as got:
+        parse_series(path)
+    with pytest.raises(DataFormatError) as want:
+        _parse_rows(path)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == f"{path}: line {i + 1}: power is not a number: 'x{value[1:]}'"
+
+
 @pytest.mark.parametrize("cpus", [1, 4])
 @pytest.mark.parametrize("rows", [_written_rows, _fixed_rows], ids=["widths", "one width"])
 def test_an_odd_row_in_the_last_batch_leaves_the_file_to_the_per_row_reader(tmp_path, rows, cpus):
@@ -1129,6 +1148,42 @@ def test_array_construction_checks_like_the_tuple_one():
     assert len(PowerSeries.from_arrays([], [])) == 0
     with pytest.raises(DomainError, match="years 1 to 9999"):
         PowerSeries.from_arrays([0, 2**62], [1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "times,power,message",
+    [
+        ([0.5, 1.7], [1.0, 2.0], "timestamp must be a whole number of microseconds, got 0.5"),
+        ([0, math.nan], [1.0, 2.0], "timestamp must be a whole number of microseconds, got nan"),
+        ([0, math.inf], [1.0, 2.0], "timestamps must lie within the years 1 to 9999"),
+        ([-math.inf, 0], [1.0, 2.0], "timestamps must lie within the years 1 to 9999"),
+        ([0, 2**70], [1.0, 2.0], "timestamps must lie within the years 1 to 9999"),
+        # a cast to int64 would wrap it to -10
+        (np.array([2**64 - 10], dtype=np.uint64), [1.0], "timestamps must lie within the years 1 to 9999"),
+        ([0], [10**400], "power value exceeds the float range"),
+    ],
+    ids=["fraction", "nan", "inf", "-inf", "past int64", "past int64 as uint64", "power past float"],
+)
+def test_from_arrays_refuses_what_its_cast_would_change(times, power, message):
+    with pytest.raises(DomainError) as refused:
+        PowerSeries.from_arrays(times, power)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "times,want",
+    [
+        ([-1e6, 0.0, 6e7], [-1_000_000, 0, 60_000_000]),
+        # ints past 2**53, which a float would round
+        (np.array([0, _MAX_US - 1, _MAX_US], dtype=object), [0, _MAX_US - 1, _MAX_US]),
+        (np.arange(3, dtype=np.uint64), [0, 1, 2]),
+    ],
+    ids=["integral floats", "ints as objects", "uint64"],
+)
+def test_from_arrays_keeps_integral_times_of_any_type(times, want):
+    series = PowerSeries.from_arrays(times, [1.0, 2.0, 3.0])
+    assert series.times_us.dtype == np.int64
+    assert series.times_us.tolist() == want
 
 
 def test_range_is_checked_before_order():
