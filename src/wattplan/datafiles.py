@@ -32,7 +32,7 @@ from itertools import repeat
 from operator import attrgetter, is_not
 from pathlib import Path
 
-from .errors import DataFormatError, DomainError
+from .errors import DataFormatError, refusal
 from .timestamps import format_timestamp, parse_timestamp
 
 BUILTIN_PREFIX = "builtin:"
@@ -117,9 +117,7 @@ def timed_values(path: str | Path, column: str, what: str, unit: str):
                 f"{path}: line {line}: {what} is not a number: {text!r}"
             ) from None
         if not (math.isfinite(value) and value >= 0):
-            raise DomainError(
-                f"{path}: line {line}: {what} must be finite and >= 0 {unit}, got {text!r}"
-            )
+            raise refusal(text, f"{path}: line {line}: {what}", "finite and >= 0", unit, show=repr)
         yield line, ts, value
 
 

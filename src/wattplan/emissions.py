@@ -68,10 +68,6 @@ class EmissionsBreakdown:
     scope3_kg: float
     total_kg: float
 
-    @classmethod
-    def of_parts(cls, scope2_kg: float, scope3_kg: float) -> "EmissionsBreakdown":
-        return cls(scope2_kg=scope2_kg, scope3_kg=scope3_kg, total_kg=scope2_kg + scope3_kg)
-
 
 @dataclass(frozen=True)
 class CarbonIntensityProfile:
@@ -350,7 +346,7 @@ def priced_emissions(
     if math.isinf(scope2):
         # the product passed the float range before the division
         scope2 = energy_kwh * (intensity / 1000.0)
-    breakdown = EmissionsBreakdown.of_parts(scope2, scope3)
+    breakdown = EmissionsBreakdown(scope2, scope3, scope2 + scope3)
     if math.isfinite(breakdown.total_kg):
         return breakdown
     message = (

@@ -49,7 +49,8 @@ class AppBenchmark:
     def __post_init__(self) -> None:
         if not self.app_name:
             raise DomainError("benchmark app_name must be non-empty")
-        check_count(self.nodes, "benchmark {!r}: nodes", self.app_name)
+        if check_count(self.nodes, "benchmark {!r}: nodes", self.app_name) is not self.nodes:
+            object.__setattr__(self, "nodes", int(self.nodes))  # a numpy integer
         check_positive(self.perf_ratio, "benchmark {!r}: perf_ratio", "", self.app_name)
         check_positive(self.energy_ratio, "benchmark {!r}: energy_ratio", "", self.app_name)
         perf_loss = 1.0 - self.perf_ratio

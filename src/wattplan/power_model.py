@@ -50,7 +50,8 @@ class ComponentSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise DomainError("component name must be non-empty")
-        check_count(self.count, "component {!r}: count", self.name)
+        if check_count(self.count, "component {!r}: count", self.name) is not self.count:
+            object.__setattr__(self, "count", int(self.count))  # a numpy integer
         check_nonnegative(self.idle_kw_per_unit, "component {!r}: idle draw", "kW", self.name)
         check_finite(self.loaded_kw_per_unit, "component {!r}: loaded draw", self.name)
         if self.loaded_kw_per_unit < self.idle_kw_per_unit:

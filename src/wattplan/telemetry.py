@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
 from itertools import repeat
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -43,10 +44,19 @@ def _micros(ts: datetime) -> int:
     return (aware(ts) - _EPOCH) // _ONE_US
 
 
+def _real(value, what: str):
+    """value, if it is a real number other than a bool; float() would also
+    take a bool or the text of a number."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
+        raise refusal(value, what, "a real number", show=repr)
+    return value
+
+
 def _kw(value) -> float:
-    """float(value), with an int past the float range refused by the rule."""
+    """float(value) of a real number, with an int past the float range
+    refused by the rule."""
     try:
-        return float(value)
+        return float(_real(value, "power value"))
     except OverflowError:
         raise refusal(value, "power value", "finite and >= 0", "kW") from None
 
@@ -54,6 +64,7 @@ def _kw(value) -> float:
 def _whole_us(t) -> int:
     """int(t), for a time t in epoch microseconds that is an integer or an
     integral float within the years 1 to 9999."""
+    _real(t, "timestamp")
     if t == t and not _MIN_US <= t <= _MAX_US:
         raise DomainError(_OUT_OF_YEARS)
     if t != t or t % 1:
@@ -89,8 +100,12 @@ class PowerSeries:
         """A series from epoch microseconds and kW values; both are copied.
         A time is an integer or an integral float. Float, unsigned and object
         times, and object powers (such as an int past the float range), are
-        checked one by one before a cast could change them."""
+        checked one by one before a cast could change them. Arrays of bools,
+        complex numbers, datetimes, text or records are refused whole."""
         times, power = np.asarray(times_us), np.asarray(power_kw)
+        for array, what in ((times, "timestamps"), (power, "power values")):
+            if array.dtype.kind not in "iufO":
+                raise refusal(f"dtype {array.dtype}", what, "real numbers")
         if times.dtype.kind in "fuO":
             times = list(map(_whole_us, times.tolist()))
         if power.dtype.kind == "O":
@@ -126,9 +141,7 @@ class PowerSeries:
         # a NaN makes the min and the max NaN, which fails both compares
         if values.size and not (values.min() >= 0 and values.max() < math.inf):
             bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
-            raise DomainError(
-                f"power values must be finite and >= 0 kW, got {float(values[bad[0]])}"
-            )
+            raise refusal(float(values[bad[0]]), "power values", "finite and >= 0", "kW")
         times.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "times_us", times)
@@ -210,11 +223,10 @@ class SeriesSegment:
     def __post_init__(self) -> None:
         check_positive(self.duration_hours, "segment duration", "hours")
         if self.duration_hours > _MAX_SEGMENT_HOURS:
-            raise DomainError(
-                f"segment duration must be at most {_MAX_SEGMENT_HOURS:.0f} hours, "
-                f"got {self.duration_hours}"
-            )
-        check_count(self.n_samples, "segment n_samples")
+            rule = f"at most {_MAX_SEGMENT_HOURS:.0f}"
+            raise refusal(self.duration_hours, "segment duration", rule, "hours")
+        if check_count(self.n_samples, "segment n_samples") is not self.n_samples:
+            object.__setattr__(self, "n_samples", int(self.n_samples))  # a numpy integer
         check_nonnegative(self.mean_kw, "segment mean", "kW")
         check_nonnegative(self.noise_sd_kw, "segment noise sd", "kW")
 
@@ -275,9 +287,7 @@ def _parse_canonical(path: str | Path) -> PowerSeries | None:
     body = np.frombuffer(data, dtype=np.uint8, offset=len(_HEADER))
     width = data.find(b"\n", len(_HEADER)) - len(_HEADER)  # the first row's
     n_rows = None  # as the stride counts them, if the file passes it
-    if body.size and width <= _MAX_ROW_BYTES and body.size % (width + 1) == 0 and (
-        body[width :: width + 1] == ord("\n")
-    ).all():
+    if body.size and body.size % (width + 1) == 0 and (body[width :: width + 1] == ord("\n")).all():
         # Every row is `width` bytes long: one group, whose row numbers and
         # starts are ranges. The parse checks each other byte of a row as a
         # digit, a separator or a number byte, none of them a newline, so a
@@ -290,9 +300,8 @@ def _parse_canonical(path: str | Path) -> PowerSeries | None:
     if len(ends) == n_rows:  # no newline off the stride: the rows are one width
         return None
     starts = np.concatenate(([0], ends + 1))[:-1]
-    lengths = ends - starts
-    if lengths.size and lengths.max() > _MAX_ROW_BYTES:
-        return None
+    # a longer row counts as one byte past the bound, so bincount's array stays small
+    lengths = np.minimum(ends - starts, _MAX_ROW_BYTES + 1)
     groups = (
         (length, np.flatnonzero(lengths == length))
         for length in np.flatnonzero(np.bincount(lengths)).tolist()
@@ -308,7 +317,7 @@ def _parse_groups(body: np.ndarray, starts, groups) -> PowerSeries | None:
     # a batch per row length, so that byte j of every row is one column
     batches = []
     for length, group in groups:
-        if length <= _STAMP_BYTES:
+        if not _STAMP_BYTES < length <= _MAX_ROW_BYTES:
             return None
         windows = sliding_window_view(body, length)
         for lo in range(0, len(group), _BATCH):
@@ -458,15 +467,16 @@ def write_series(series: PowerSeries, path: str | Path) -> None:
 
     Times are ISO-8601 UTC with a trailing Z, with microseconds only where
     they are non-zero; powers are Python float reprs. The file holds the
-    bytes of a per-row `f"{time},{power!r}"` writer.
+    bytes of a per-row `f"{time},{power!r}"` writer, with LF line ends on
+    every platform.
 
     Each chunk of rows is built as one byte matrix (see _lines). A power in
     [1e-4, 1e16), whose repr has no exponent, is formatted in numpy (see
     _shortest); any other power, such as 0.0, 1e-5 or 1e16, takes its own
     repr.
     """
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("timestamp,power_kw\n")
+    with open(path, "wb") as handle:
+        handle.write(_HEADER)
         for lo in range(0, len(series), _CHUNK):
             chunk = slice(lo, lo + _CHUNK)
             handle.write(_lines(series.times_us[chunk], series.power_kw[chunk]))
@@ -479,7 +489,7 @@ _REPR_BYTES = 24  # the longest float repr, such as -2.2250738585072014e-308
 _REPR_AT = np.arange(_REPR_BYTES)[:, None]
 
 
-def _lines(times_us: np.ndarray, power_kw: np.ndarray) -> str:
+def _lines(times_us: np.ndarray, power_kw: np.ndarray) -> bytes:
     """One `YYYY-MM-DDTHH:MM:SS[.ffffff]Z,<repr>` line per epoch-microsecond
     time and power, with the fraction only where it is non-zero.
 
@@ -517,7 +527,7 @@ def _lines(times_us: np.ndarray, power_kw: np.ndarray) -> str:
     if fractional:
         # ".ffffff" goes into every line, then out of those on a whole second
         keep[_FRACTION_AT : _FRACTION_AT + 7, fraction == 0] = False
-    return cols.T[keep.T].tobytes().decode()
+    return cols.T[keep.T].tobytes()
 
 
 def _reprs(power_kw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -639,6 +639,14 @@ def test_synth_rejects_an_n_samples_that_is_not_an_integer(capsys, tmp_path, val
     assert not output.exists()
 
 
+@pytest.mark.parametrize("segments", [[], {}], ids=["empty-list", "object"])
+def test_synth_rejects_segments_that_are_not_a_non_empty_list(capsys, tmp_path, segments):
+    recipe = _write_json(tmp_path / "recipe.json", {**_recipe_doc(), "segments": segments})
+    code, out, err = _run(capsys, "synth", recipe, "-o", str(tmp_path / "out.csv"))
+    _assert_rejected(code, out, err, 2)
+    assert "'segments' must be a non-empty list" in err
+
+
 @pytest.mark.parametrize("value", [5, None, ["2022-04-01T00:00:00Z"]])
 def test_synth_rejects_a_start_that_is_not_a_string(capsys, tmp_path, value):
     recipe = _write_json(tmp_path / "recipe.json", {**_recipe_doc(), "start": value})

@@ -10,6 +10,7 @@ from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wattplan
@@ -21,6 +22,7 @@ from wattplan.datafiles import (
     number,
     read_json,
     string,
+    to_json,
 )
 from wattplan.emissions import (
     CarbonIntensityProfile,
@@ -302,6 +304,18 @@ def test_a_count_refuses_a_bool(site):
     assert str(refused.value) == message.replace("got 0", "got True")
 
 
+@pytest.mark.parametrize("count", [np.int64(4), np.uint8(4)], ids=["int64", "uint8"])
+@pytest.mark.parametrize("site", ["benchmark-nodes", "component-count", "segment-samples"])
+def test_a_numpy_integer_is_a_count_stored_as_an_int(site, count):
+    call, _, message = RULE_SITES[site]
+    # json.dumps raises on a numpy integer, so the document shows what is stored
+    assert json.dumps(to_json(call(count))) == json.dumps(to_json(call(4)))
+    assert call(count) == call(4)
+    with pytest.raises(DomainError) as refused:
+        call(np.int64(0))
+    assert str(refused.value) == message.replace("got 0", f"got {np.int64(0)!r}")
+
+
 # the second is past the int-string digit limit, so that no message may write it out
 @pytest.mark.parametrize("huge", [10**400, -(10**5000)], ids=["401-digits", "negative-5001"])
 @pytest.mark.parametrize("call,value,message", RULE_SITES.values(), ids=RULE_SITES)
@@ -338,9 +352,9 @@ def test_a_negative_guard_gap_is_refused_by_the_rule():
         intervention_impact(series, series.timestamps[4], timedelta(hours=-1))
 
 
-# the checks that keep their own wording: a file's cell, named by its line and
-# quoted, and a whole power array, checked in one numpy pass
-RULE_WORDING_OWNERS = {("datafiles", "timed_values"), ("telemetry", "PowerSeries")}
+# no check keeps its own wording: a file's cell and a whole power array are
+# refused through errors.refusal too
+RULE_WORDING_OWNERS = set()
 RULE_WORDING = re.compile(r"must be (finite and )?(>=? 0|within \[0, 1\])")
 
 

@@ -857,6 +857,18 @@ def test_whole_mixed_and_fractional_chunks_match_the_reference(tmp_path):
     assert_writes_as_the_reference(tmp_path, PowerSeries.from_arrays(times, power))
 
 
+def test_the_written_line_ends_are_lf_where_the_platform_uses_crlf(tmp_path):
+    import _pyio
+
+    # _pyio's text layer, unlike io's, writes os.linesep for each "\n"
+    series = synth_series([(1.0, 60, 3000.0, 5.0)], seed=3)
+    path = tmp_path / "crlf.csv"
+    with patch("os.linesep", "\r\n"), patch("builtins.open", _pyio.open):
+        write_series(series, path)
+    assert b"\r" not in path.read_bytes()
+    assert _parse_canonical(path) == series
+
+
 def _repr_lines(values):
     """The text _reprs gives for each value, each followed by a newline."""
     text, length = _reprs(values)
@@ -1184,6 +1196,52 @@ def test_from_arrays_keeps_integral_times_of_any_type(times, want):
     series = PowerSeries.from_arrays(times, [1.0, 2.0, 3.0])
     assert series.times_us.dtype == np.int64
     assert series.times_us.tolist() == want
+
+
+_T = datetime(2022, 1, 1, tzinfo=UTC)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        # each of these was taken, or leaked another error, before its check
+        (lambda: PowerSeries.from_arrays(np.array([0], dtype="datetime64[s]"), [1.0]),
+         "timestamps must be real numbers, got dtype datetime64[s]"),
+        # tolist() gives nanosecond ints, so an element-wise read would misread it too
+        (lambda: PowerSeries.from_arrays(np.array([0], dtype="datetime64[ns]"), [1.0]),
+         "timestamps must be real numbers, got dtype datetime64[ns]"),
+        (lambda: PowerSeries.from_arrays(np.array(["5", "7"]), [1.0, 2.0]),
+         "timestamps must be real numbers, got dtype <U1"),
+        (lambda: PowerSeries.from_arrays([False, True], [1.0, 2.0]),
+         "timestamps must be real numbers, got dtype bool"),
+        (lambda: PowerSeries.from_arrays(np.array([1 + 0j, 2 + 0j]), [1.0, 2.0]),
+         "timestamps must be real numbers, got dtype complex128"),
+        (lambda: PowerSeries.from_arrays([1, 2], np.array([1 + 0j, 2 + 0j])),
+         "power values must be real numbers, got dtype complex128"),
+        (lambda: PowerSeries.from_arrays(np.array([0, "5"], dtype=object), [1.0, 2.0]),
+         "timestamp must be a real number, got '5'"),
+        (lambda: PowerSeries.from_arrays(np.array([0, None], dtype=object), [1.0, 2.0]),
+         "timestamp must be a real number, got None"),
+        (lambda: PowerSeries.from_arrays(np.array([0, True], dtype=object), [1.0, 2.0]),
+         "timestamp must be a real number, got True"),
+        (lambda: PowerSeries.from_arrays([0, 1], np.array(["1.5", "2"])),
+         "power values must be real numbers, got dtype <U3"),
+        (lambda: PowerSeries.from_arrays([0, 1], [True, False]),
+         "power values must be real numbers, got dtype bool"),
+        (lambda: PowerSeries.from_arrays([0, 1], np.array([1.0, 2j], dtype=object)),
+         "power value must be a real number, got 2j"),
+        (lambda: PowerSeries([_T], ["1.5"]), "power value must be a real number, got '1.5'"),
+        (lambda: PowerSeries([_T], [True]), "power value must be a real number, got True"),
+    ],
+    ids=["datetime64[s]", "datetime64[ns]", "str times", "bool times", "complex times",
+         "complex powers", "str in object times", "None in object times",
+         "bool in object times", "str powers", "bool powers", "complex in object powers",
+         "str power", "bool power"],
+)
+def test_a_series_refuses_what_is_not_a_real_number(build, message):
+    with pytest.raises(DomainError) as refused:
+        build()
+    assert str(refused.value) == message
 
 
 def test_range_is_checked_before_order():
